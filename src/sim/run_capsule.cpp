@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <concepts>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -29,106 +33,661 @@ enum Tag : std::uint64_t {
   kLinkImpairTag = 12,
 };
 
-/// Decode-time sanity caps: far above any real run, low enough that a
-/// corrupt count cannot drive a multi-gigabyte allocation.
-constexpr std::size_t kMaxNodes = 1u << 22;
-constexpr std::size_t kMaxRounds = 1u << 20;
+/// Decode-time cap on every count: far above any real run. The tighter
+/// guard is the per-element byte floor (min_wire_bytes): a count must fit
+/// the remaining payload, so a corrupt one cannot allocate much more
+/// than the file's own size.
 constexpr std::size_t kMaxItems = 1u << 26;
+
+/// Most isolevels a decoded query may ask for. A tiny granularity would
+/// otherwise make replay materialize billions of levels.
+constexpr double kMaxLevels = 1u << 16;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-void put_vec2(Writer& w, Vec2 v) {
-  w.put_f64(v.x);
-  w.put_f64(v.y);
+/// Largest wire value of each enum; decoding rejects anything above.
+constexpr RunKind last(RunKind) { return RunKind::kContinuous; }
+constexpr FieldKind last(FieldKind) { return FieldKind::kSloped; }
+constexpr RegulationMode last(RegulationMode) {
+  return RegulationMode::kBlended;
+}
+constexpr ContinuousEngine last(ContinuousEngine) {
+  return ContinuousEngine::kIncremental;
+}
+constexpr FaultKind last(FaultKind) { return FaultKind::kRegionBlackout; }
+
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+template <class T>
+concept Vector = std::same_as<T, std::vector<typename T::value_type>>;
+template <class T>
+concept Optional = std::same_as<T, std::optional<typename T::value_type>>;
+/// A struct with a field list below.
+template <class T>
+concept Record = std::is_class_v<T> && !Vector<T> && !Optional<T> &&
+                 !std::same_as<T, std::string>;
+
+// --- Field lists --------------------------------------------------------
+//
+// The wire layout of every struct, written once. `ar(name, x.f...)` visits
+// field f of each object in the pack: one object when encoding or
+// decoding, the stored and the fresh copy when diffing. Fields are listed
+// in wire order and each name is a diff/error path segment. Scalars map
+// to wire primitives by type: double -> f64, bool -> bool, enums and
+// unsigned -> u64, signed -> zigzag i64; vectors carry a u64 count and
+// optionals a presence bool. Fields after `ar.tail()` form a guarded tail
+// that older capsules lack; decoding leaves them at their defaults (a
+// tail must end its section). `ar.count` + `ar.lane` store parallel
+// per-node arrays under one shared count.
+
+void visit(auto& ar, Is<Vec2> auto&... v) {
+  ar("x", v.x...);
+  ar("y", v.y...);
 }
 
-Vec2 get_vec2(Reader& r) {
-  Vec2 v;
-  v.x = r.get_f64();
-  v.y = r.get_f64();
-  return v;
+void visit(auto& ar, Is<FieldBounds> auto&... b) {
+  ar("x0", b.x0...);
+  ar("y0", b.y0...);
+  ar("x1", b.x1...);
+  ar("y1", b.y1...);
 }
 
-void put_report(Writer& w, const IsolineReport& report) {
-  w.put_f64(report.isolevel);
-  put_vec2(w, report.position);
-  put_vec2(w, report.gradient);
-  w.put_i64(report.source);
+void visit(auto& ar, Is<ScenarioConfig> auto&... s) {
+  ar("num_nodes", s.num_nodes...);
+  ar("field_side", s.field_side...);
+  ar("radio_range", s.radio_range...);
+  ar("grid_deployment", s.grid_deployment...);
+  ar("failure_fraction", s.failure_fraction...);
+  ar("field", s.field...);
+  ar("random_field_bumps", s.random_field_bumps...);
+  ar("random_field_amplitude", s.random_field_amplitude...);
+  ar("seed", s.seed...);
+  ar("sink_fx", s.sink_fx...);
+  ar("sink_fy", s.sink_fy...);
+  ar("reading_noise_std", s.reading_noise_std...);
+  ar("position_error_std", s.position_error_std...);
 }
 
-IsolineReport get_report(Reader& r) {
-  IsolineReport report;
-  report.isolevel = r.get_f64();
-  report.position = get_vec2(r);
-  report.gradient = get_vec2(r);
-  report.source = static_cast<int>(r.get_i64());
-  return report;
+void visit(auto& ar, Is<ContourQuery> auto&... q) {
+  ar("lambda_lo", q.lambda_lo...);
+  ar("lambda_hi", q.lambda_hi...);
+  ar("granularity", q.granularity...);
+  ar("epsilon_fraction", q.epsilon_fraction...);
+  ar("angular_separation_deg", q.angular_separation_deg...);
+  ar("distance_separation", q.distance_separation...);
+  ar("enable_filtering", q.enable_filtering...);
+  ar("regression_hops", q.regression_hops...);
 }
 
-void put_ledger(Writer& w, const obs::LedgerTotals& t) {
-  w.put_i64(t.nodes);
-  w.put_f64(t.tx_bytes);
-  w.put_f64(t.rx_bytes);
-  w.put_f64(t.ops);
-  w.put_f64(t.mean_ops);
-  w.put_f64(t.max_ops);
+void visit(auto& ar, Is<GilbertElliottParams> auto&... b) {
+  ar("p_enter_burst", b.p_enter_burst...);
+  ar("p_exit_burst", b.p_exit_burst...);
+  ar("loss_good", b.loss_good...);
+  ar("loss_bad", b.loss_bad...);
 }
 
-obs::LedgerTotals get_ledger(Reader& r) {
-  obs::LedgerTotals t;
-  t.nodes = static_cast<int>(r.get_i64());
-  t.tx_bytes = r.get_f64();
-  t.rx_bytes = r.get_f64();
-  t.ops = r.get_f64();
-  t.mean_ops = r.get_f64();
-  t.max_ops = r.get_f64();
-  return t;
+void visit(auto& ar, Is<FaultConfig> auto&... f) {
+  ar("crash_fraction", f.crash_fraction...);
+  ar("crash_window_begin", f.crash_window_begin...);
+  ar("crash_window_end", f.crash_window_end...);
+  ar("blackout", f.blackout...);
+  ar("blackout_center", f.blackout_center...);
+  ar("blackout_radius", f.blackout_radius...);
+  ar("blackout_time", f.blackout_time...);
+  ar("seed", f.seed...);
+  ar("self_healing", f.self_healing...);
 }
 
-void put_contours(Writer& w, const std::vector<LevelContour>& contours) {
-  w.put_u64(contours.size());
-  for (const LevelContour& lc : contours) {
-    w.put_f64(lc.isolevel);
-    w.put_i64(lc.report_count);
-    w.put_u64(lc.boundaries.size());
-    for (const auto& polyline : lc.boundaries) {
-      w.put_bool(polyline.closed);
-      w.put_u64(polyline.points.size());
-      for (Vec2 p : polyline.points) put_vec2(w, p);
-    }
+/// link_impair and link_arq travel in their own section (tag 12).
+void visit(auto& ar, Is<IsoMapOptions> auto&... o) {
+  ar("query", o.query...);
+  ar("regulation", o.regulation...);
+  ar("account_local_measurement", o.account_local_measurement...);
+  ar("account_query_dissemination", o.account_query_dissemination...);
+  ar("header_bytes", o.header_bytes...);
+  ar("link_loss", o.link_loss...);
+  ar("link_retries", o.link_retries...);
+  ar("link_seed", o.link_seed...);
+  ar("link_burst", o.link_burst...);
+  ar("fault", o.fault...);
+  ar("record_transmissions", o.record_transmissions...);
+  ar("adaptive_epsilon", o.adaptive_epsilon...);
+}
+
+void visit(auto& ar, Is<ImpairmentConfig> auto&... i) {
+  ar("latency_s", i.latency_s...);
+  ar("jitter_s", i.jitter_s...);
+  ar("dup_prob", i.dup_prob...);
+  ar("reorder_prob", i.reorder_prob...);
+  ar("reorder_extra_s", i.reorder_extra_s...);
+  ar("corrupt_prob", i.corrupt_prob...);
+}
+
+void visit(auto& ar, Is<ArqConfig> auto&... a) {
+  ar("window", a.window...);
+  ar("frame_payload_bytes", a.frame_payload_bytes...);
+  ar("timeout_s", a.timeout_s...);
+  ar("backoff_factor", a.backoff_factor...);
+  ar("max_timeout_s", a.max_timeout_s...);
+  ar("max_frame_attempts", a.max_frame_attempts...);
+}
+
+/// `base` travels in the options section.
+void visit(auto& ar, Is<ContinuousOptions> auto&... o) {
+  ar("gradient_refresh_deg", o.gradient_refresh_deg...);
+  ar("withdraw_bytes", o.withdraw_bytes...);
+  ar("beacon_bytes", o.beacon_bytes...);
+  ar("stale_rounds", o.stale_rounds...);
+  ar("engine", o.engine...);
+}
+
+void visit(auto& ar, Is<DeploymentSnapshot::NodeRec> auto&... n) {
+  ar("pos", n.pos...);
+  ar("alive", n.alive...);
+  ar("believed", n.believed...);
+}
+
+void visit(auto& ar, Is<FaultEvent> auto&... e) {
+  ar("time", e.time...);
+  ar("kind", e.kind...);
+  ar("node", e.node...);
+  ar("center", e.center...);
+  ar("radius", e.radius...);
+}
+
+/// `id` and `hops` are observation-only and never stored.
+void visit(auto& ar, Is<IsolineReport> auto&... r) {
+  ar("isolevel", r.isolevel...);
+  ar("position", r.position...);
+  ar("gradient", r.gradient...);
+  ar("source", r.source...);
+}
+
+void visit(auto& ar, Is<ContourPolyline> auto&... p) {
+  ar("closed", p.closed...);
+  ar("points", p.points...);
+}
+
+void visit(auto& ar, Is<LevelContour> auto&... c) {
+  ar("isolevel", c.isolevel...);
+  ar("report_count", c.report_count...);
+  ar("boundaries", c.boundaries...);
+}
+
+void visit(auto& ar, Is<obs::LedgerTotals> auto&... t) {
+  ar("nodes", t.nodes...);
+  ar("tx_bytes", t.tx_bytes...);
+  ar("rx_bytes", t.rx_bytes...);
+  ar("ops", t.ops...);
+  ar("mean_ops", t.mean_ops...);
+  ar("max_ops", t.max_ops...);
+}
+
+void visit(auto& ar, Is<SingleShotOutputs> auto&... o) {
+  ar("isoline_node_count", o.isoline_node_count...);
+  ar("generated_reports", o.generated_reports...);
+  ar("delivered_reports", o.delivered_reports...);
+  ar("filtered_reports", o.filtered_reports...);
+  ar("lost_channel_reports", o.lost_channel_reports...);
+  ar("lost_crash_reports", o.lost_crash_reports...);
+  ar("crashed_nodes", o.crashed_nodes...);
+  ar("route_repairs", o.route_repairs...);
+  ar("repair_traffic_bytes", o.repair_traffic_bytes...);
+  ar("report_traffic_bytes", o.report_traffic_bytes...);
+  ar("measurement_traffic_bytes", o.measurement_traffic_bytes...);
+  ar("dissemination_traffic_bytes", o.dissemination_traffic_bytes...);
+  ar("bottleneck_bytes", o.bottleneck_bytes...);
+  ar("sink_reports", o.sink_reports...);
+  ar("contours", o.contours...);
+  ar("ledger", o.ledger...);
+  ar("summary_json", o.summary_json...);
+  ar.tail();  // Schema 2: measured end-to-end latency.
+  ar("e2e_first_latency_s", o.e2e_first_latency_s...);
+  ar("e2e_last_latency_s", o.e2e_last_latency_s...);
+  ar("e2e_mean_latency_s", o.e2e_mean_latency_s...);
+}
+
+void visit(auto& ar, Is<ContinuousMapper::SinkDumpEntry> auto&... e) {
+  ar("node", e.node...);
+  ar("level", e.level...);
+  ar("last_update", e.last_update...);
+  ar("report", e.report...);
+}
+
+void visit(auto& ar, Is<RoundOutputs> auto&... o) {
+  ar("adds", o.adds...);
+  ar("refreshes", o.refreshes...);
+  ar("withdrawals", o.withdrawals...);
+  ar("suppressed", o.suppressed...);
+  ar("keepalives", o.keepalives...);
+  ar("expired", o.expired...);
+  ar("active_reports", o.active_reports...);
+  ar("delta_traffic_bytes", o.delta_traffic_bytes...);
+  ar("beacon_traffic_bytes", o.beacon_traffic_bytes...);
+  ar("sink", o.sink...);
+  ar("ledger", o.ledger...);
+}
+
+void visit(auto& ar, Is<obs::TelemetryEnergyModel> auto&... e) {
+  ar("tx_j_per_byte", e.tx_j_per_byte...);
+  ar("rx_j_per_byte", e.rx_j_per_byte...);
+  ar("j_per_op", e.j_per_op...);
+}
+
+/// One node count, then per-node lanes without counts of their own. The
+/// per-phase lanes stay out of the capsule: they are derived detail.
+void visit(auto& ar, Is<obs::NodeTelemetrySnapshot> auto&... t) {
+  ar.count("nodes", t.tx_bytes...);
+  ar.lane("tx_bytes", t.tx_bytes...);
+  ar.lane("rx_bytes", t.rx_bytes...);
+  ar.lane("ops", t.ops...);
+  ar.lane("hops", t.hops...);
+  ar.lane("generated", t.generated...);
+  ar.lane("delivered", t.delivered...);
+  ar.lane("filtered", t.filtered...);
+  ar.lane("lost_channel", t.lost_channel...);
+  ar.lane("lost_crash", t.lost_crash...);
+  ar.lane("relayed", t.relayed...);
+  ar.lane("retries", t.retries...);
+  ar.lane("drops", t.drops...);
+  ar("energy", t.energy...);
+  ar.tail();  // Schema 2: impaired-link lanes.
+  ar.lane("dup_rx", t.dup_rx...);
+  ar.lane("corrupt_rx", t.corrupt_rx...);
+  ar.lane("arq_timeouts", t.arq_timeouts...);
+}
+
+// --- Archives -------------------------------------------------------------
+
+/// The field path being visited, as name or [index] frames; rendered
+/// ("single.sink_reports[3].position.x") only for messages.
+struct Path {
+  std::vector<std::pair<const char*, std::size_t>> frames;
+
+  void push(const char* name) { frames.emplace_back(name, 0); }
+  void push(std::size_t index) { frames.emplace_back(nullptr, index); }
+  void pop() { frames.pop_back(); }
+  std::string str() const {
+    std::string out;
+    for (const auto& [name, index] : frames)
+      out += name == nullptr ? "[" + std::to_string(index) + "]"
+             : out.empty()   ? std::string(name)
+                             : "." + std::string(name);
+    return out;
+  }
+};
+
+template <class T>
+std::size_t min_wire_bytes();
+
+/// Sums the smallest encoding of each field (the guarded tail excluded).
+struct MinSize {
+  std::size_t bytes = 0;
+  bool in_tail = false;
+  template <class T>
+  void operator()(const char*, const T&) {
+    if (!in_tail) bytes += min_wire_bytes<T>();
+  }
+  void tail() { in_tail = true; }
+};
+
+/// Fewest bytes one encoded T can occupy.
+template <class T>
+std::size_t min_wire_bytes() {
+  if constexpr (std::is_same_v<T, double>) {
+    return 8;
+  } else if constexpr (Record<T>) {
+    static const std::size_t n = [] {
+      MinSize m;
+      const T blank{};
+      visit(m, blank);
+      return m.bytes;
+    }();
+    return n;
+  } else {
+    return 1;  // Every varint, string, count and presence flag.
   }
 }
 
-std::vector<LevelContour> get_contours(Reader& r) {
-  std::vector<LevelContour> contours(r.get_count(kMaxItems, 10));
-  for (LevelContour& lc : contours) {
-    lc.isolevel = r.get_f64();
-    lc.report_count = static_cast<int>(r.get_i64());
-    lc.boundaries.resize(r.get_count(kMaxItems, 2));
-    for (auto& polyline : lc.boundaries) {
-      polyline.closed = r.get_bool();
-      polyline.points.resize(r.get_count(kMaxItems, 16));
-      for (Vec2& p : polyline.points) p = get_vec2(r);
+/// Writes each field through Writer, in list order.
+class Encoder {
+ public:
+  template <class T>
+  void operator()(const char*, const T& v) {
+    put(v);
+  }
+  void schema() { w_.put_u64(kRunSchemaVersion); }
+  void tail() {}
+  template <class T>
+  void count(const char*, const std::vector<T>& values) {
+    w_.put_u64(values.size());
+  }
+  template <class T>
+  void lane(const char*, const std::vector<T>& values) {
+    for (const T& v : values) put(v);
+  }
+  std::string take() { return w_.take(); }
+
+ private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      w_.put_f64(v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w_.put_bool(v);
+    } else if constexpr (std::is_enum_v<T> || std::is_unsigned_v<T>) {
+      w_.put_u64(static_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      w_.put_i64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.put_string(v);
+    } else if constexpr (Vector<T>) {
+      w_.put_u64(v.size());
+      for (const auto& x : v) put(x);
+    } else if constexpr (Optional<T>) {
+      w_.put_bool(v.has_value());
+      if (v) put(*v);
+    } else {
+      visit(*this, v);
     }
   }
-  return contours;
-}
 
-/// Throws unless the section payload was consumed exactly — a decoded
-/// section with trailing bytes means schema skew or corruption.
-void expect_done(Reader& r, const char* section) {
-  if (!r.done())
-    throw CapsuleError(std::string(section) + " section has " +
-                       std::to_string(r.remaining()) + " trailing bytes");
-}
+  Writer w_;
+};
 
-const Section& require(const Capsule& c, std::uint64_t tag,
-                       const char* name) {
-  const Section* s = c.find(tag);
-  if (s == nullptr)
-    throw CapsuleError(std::string("missing required section ") + name);
-  return *s;
-}
+/// Reads one section payload and owns every check on untrusted input:
+/// enum ranges, count caps, option values and exact consumption.
+class Decoder {
+ public:
+  /// `finite` rejects any non-finite double in the section.
+  Decoder(std::string_view payload, const char* section, bool finite)
+      : r_(payload), section_(section), finite_(finite) {}
+
+  template <class T>
+  void operator()(const char* name, T& v) {
+    if (skip_) return;
+    path_.push(name);
+    get(v);
+    path_.pop();
+  }
+  void schema() {
+    const std::uint64_t schema = r_.get_u64();
+    if (schema == 0 || schema > kRunSchemaVersion)
+      throw CapsuleError("unsupported run schema version " +
+                         std::to_string(schema));
+  }
+  void tail() { skip_ = r_.done(); }
+  template <class T>
+  void count(const char*, std::vector<T>&) {
+    if (!skip_) lane_size_ = r_.get_count(kMaxItems);
+  }
+  template <class T>
+  void lane(const char* name, std::vector<T>& values) {
+    if (skip_) return;
+    path_.push(name);
+    read_n(values, lane_size_);
+    path_.pop();
+  }
+  /// A section with trailing bytes means schema skew or corruption.
+  void finish() {
+    if (!r_.done())
+      throw CapsuleError(std::string(section_) + " section has " +
+                         std::to_string(r_.remaining()) + " trailing bytes");
+  }
+
+ private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      v = r_.get_f64();
+      if (finite_ && !std::isfinite(v)) fail("must be finite");
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = r_.get_bool();
+    } else if constexpr (std::is_enum_v<T>) {
+      const std::uint64_t u = r_.get_u64();
+      if (u > static_cast<std::uint64_t>(last(T{})))
+        fail("unknown value " + std::to_string(u));
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      v = r_.get_u64();
+    } else if constexpr (std::is_integral_v<T>) {
+      const std::int64_t i = r_.get_i64();
+      if (!std::in_range<T>(i))
+        fail("value " + std::to_string(i) + " out of range");
+      v = static_cast<T>(i);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = r_.get_string();
+    } else if constexpr (Vector<T>) {
+      read_n(v, r_.get_count(kMaxItems));
+    } else if constexpr (Optional<T>) {
+      if (r_.get_bool())
+        get(v.emplace());
+      else
+        v.reset();
+    } else {
+      visit(*this, v);
+      check(v);
+    }
+  }
+
+  template <class T>
+  void read_n(std::vector<T>& v, std::size_t n) {
+    if (n > r_.remaining() / min_wire_bytes<T>())
+      fail("count " + std::to_string(n) + " exceeds the payload");
+    v.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      path_.push(i);
+      get(v[i]);
+      path_.pop();
+    }
+  }
+
+  // Value checks, run once a struct is fully read. Replay must be able
+  // to run whatever decodes, so the ranges match what the runtime
+  // accepts.
+  void check(const ContourQuery& q) {
+    require(q.granularity > 0.0, "granularity", "must be > 0");
+    require(q.lambda_lo <= q.lambda_hi, "lambda_lo", "must be <= lambda_hi");
+    require((q.lambda_hi - q.lambda_lo) / q.granularity <= kMaxLevels,
+            "granularity", "yields more than 65536 isolevels");
+    require(q.angular_separation_deg >= 0.0, "angular_separation_deg",
+            "must be >= 0");
+    require(q.distance_separation >= 0.0, "distance_separation",
+            "must be >= 0");
+  }
+  void check(const IsoMapOptions& o) {
+    require(o.header_bytes >= 0.0, "header_bytes", "must be >= 0");
+    require(o.link_loss >= 0.0 && o.link_loss < 1.0, "link_loss",
+            "must be in [0, 1)");
+    require(o.link_retries >= 0, "link_retries", "must be >= 0");
+  }
+  void check(const ContinuousOptions& o) {
+    require(o.withdraw_bytes >= 0.0, "withdraw_bytes", "must be >= 0");
+    require(o.beacon_bytes >= 0.0, "beacon_bytes", "must be >= 0");
+  }
+  void check(const GilbertElliottParams& b) {
+    require(b.p_enter_burst >= 0.0 && b.p_enter_burst <= 1.0,
+            "p_enter_burst", "must be in [0, 1]");
+    require(b.p_exit_burst > 0.0 && b.p_exit_burst <= 1.0, "p_exit_burst",
+            "must be in (0, 1]");
+    require(b.loss_good >= 0.0 && b.loss_good < 1.0, "loss_good",
+            "must be in [0, 1)");
+    require(b.loss_bad >= 0.0 && b.loss_bad <= 1.0, "loss_bad",
+            "must be in [0, 1]");
+  }
+  void check(const FaultConfig& f) {
+    require(f.crash_fraction <= 0.0 ||
+                (f.crash_window_begin >= 0.0 &&
+                 f.crash_window_begin <= f.crash_window_end &&
+                 f.crash_window_end <= 1.0),
+            "crash_window_begin", "must satisfy 0 <= begin <= end <= 1");
+    require(!f.blackout || (f.blackout_time >= 0.0 && f.blackout_time <= 1.0),
+            "blackout_time", "must be in [0, 1]");
+    require(!f.blackout || f.blackout_radius >= 0.0, "blackout_radius",
+            "must be >= 0");
+  }
+  void check(const FaultEvent& e) {
+    require(e.time >= 0.0 && e.time <= 1.0, "time", "must be in [0, 1]");
+    require(e.radius >= 0.0, "radius", "must be >= 0");
+  }
+  /// Structs with a validate() of their own (ImpairmentConfig,
+  /// ArqConfig) are checked by it.
+  template <class T>
+  void check(const T& v) {
+    if constexpr (requires { v.validate(); }) {
+      try {
+        v.validate();
+      } catch (const std::invalid_argument& e) {
+        fail(e.what());
+      }
+    }
+  }
+
+  void require(bool ok, const char* field, const char* what) {
+    if (ok) return;
+    path_.push(field);
+    fail(what);
+  }
+  [[noreturn]] void fail(const std::string& what) const {
+    throw CapsuleError(path_.str() + ": " + what);
+  }
+
+  Reader r_;
+  const char* section_;
+  bool finite_;
+  bool skip_ = false;  ///< Set when a guarded tail is absent.
+  std::size_t lane_size_ = 0;
+  Path path_;
+};
+
+/// Walks a stored and a fresh copy side by side and keeps the first
+/// mismatch: doubles by bit pattern, everything else by value. Paths come
+/// from the field names, so the first divergence follows wire order.
+class Differ {
+ public:
+  template <class T>
+  void operator()(const char* name, const T& stored, const T& fresh) {
+    if (found_) return;
+    path_.push(name);
+    cmp(stored, fresh);
+    path_.pop();
+  }
+  void tail() {}
+  template <class T>
+  void count(const char* name, const std::vector<T>& stored,
+             const std::vector<T>& fresh) {
+    (*this)(name, stored.size(), fresh.size());
+  }
+  /// A lane absent from an older capsule reads as zeros.
+  template <class T>
+  void lane(const char* name, const std::vector<T>& stored,
+            const std::vector<T>& fresh) {
+    if (found_) return;
+    path_.push(name);
+    const std::size_t n = std::max(stored.size(), fresh.size());
+    for (std::size_t i = 0; i < n && !found_; ++i) {
+      path_.push(i);
+      cmp(i < stored.size() ? stored[i] : T{},
+          i < fresh.size() ? fresh[i] : T{});
+      path_.pop();
+    }
+    path_.pop();
+  }
+  const std::optional<OutputDiff>& result() const { return found_; }
+
+ private:
+  template <class T>
+  void cmp(const T& s, const T& f) {
+    if constexpr (std::is_same_v<T, double>) {
+      if (bits(s) == bits(f)) return;
+      std::ostringstream os;
+      os.precision(17);
+      os << "stored=" << s << " recomputed=" << f << " (bits 0x" << std::hex
+         << bits(s) << " vs 0x" << bits(f) << ")";
+      found_ = OutputDiff{path_.str(), os.str()};
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (s == f) return;
+      std::size_t at = 0;
+      while (at < s.size() && at < f.size() && s[at] == f[at]) ++at;
+      found_ = OutputDiff{
+          path_.str(), "strings diverge at byte " + std::to_string(at) +
+                           " (stored " + std::to_string(s.size()) +
+                           " bytes, recomputed " + std::to_string(f.size()) +
+                           ")"};
+    } else if constexpr (Vector<T>) {
+      (*this)("count", s.size(), f.size());
+      for (std::size_t i = 0; i < s.size() && !found_; ++i) {
+        path_.push(i);
+        cmp(s[i], f[i]);
+        path_.pop();
+      }
+    } else if constexpr (Record<T>) {
+      visit(*this, s, f);
+    } else if (s != f) {
+      found_ = OutputDiff{
+          path_.str(),
+          "stored=" + std::to_string(static_cast<long long>(s)) +
+              " recomputed=" + std::to_string(static_cast<long long>(f))};
+    }
+  }
+
+  std::optional<OutputDiff> found_;
+  Path path_;
+};
+
+// --- Sections ---------------------------------------------------------------
+//
+// Each section's field list over the RunCapsule. Names are the member
+// paths from RunCapsule, so diff and error paths read as C++ accessors.
+
+constexpr auto kMeta = [](auto& ar, auto&... c) {
+  ar.schema();
+  ar("kind", c.kind...);
+  ar("label", c.label...);
+};
+constexpr auto kConfig = [](auto& ar, auto&... c) {
+  ar("config", c.config...);
+};
+constexpr auto kOptions = [](auto& ar, auto&... c) {
+  ar("options", c.options...);
+};
+/// Present exactly when options.link_impair is set, so unimpaired runs
+/// keep their pre-impairment bytes.
+constexpr auto kLinkImpair = [](auto& ar, auto&... c) {
+  ar("options.link_impair", *c.options.link_impair...);
+  ar("options.link_arq", c.options.link_arq...);
+};
+constexpr auto kContinuous = [](auto& ar, auto&... c) {
+  ar("continuous", c.continuous...);
+};
+constexpr auto kDeployment = [](auto& ar, auto&... c) {
+  ar("deployment.bounds", c.deployment.bounds...);
+  ar("radio_range", c.radio_range...);
+  ar("sink", c.sink...);
+  ar("deployment.nodes", c.deployment.nodes...);
+};
+/// Over the event list: FaultPlan only grows through add().
+constexpr auto kFaultPlan = [](auto& ar, auto&... events) {
+  ar("fault_plan", events...);
+};
+constexpr auto kReadings = [](auto& ar, auto&... c) {
+  ar("rounds", c.rounds...);
+};
+constexpr auto kSingleOutputs = [](auto& ar, auto&... c) {
+  ar("single", c.single...);
+};
+constexpr auto kRoundOutputs = [](auto& ar, auto&... c) {
+  ar("round_outputs", c.round_outputs...);
+};
+constexpr auto kFinalMap = [](auto& ar, auto&... c) {
+  ar("final_contours", c.final_contours...);
+  ar("final_summary_json", c.final_summary_json...);
+};
+constexpr auto kTelemetry = [](auto& ar, auto&... c) {
+  ar("telemetry", *c.telemetry...);
+};
+
+// --- Execution -------------------------------------------------------------
 
 std::vector<LevelContour> extract_contours(const ContourMap& map) {
   std::vector<LevelContour> out;
@@ -171,6 +730,23 @@ void check_readings(const RunCapsule& c) {
                          std::to_string(round.size()) +
                          " does not match deployment size " +
                          std::to_string(c.deployment.nodes.size()));
+}
+
+/// CommGraph and RoutingTree are rebuilt from these: the radio range
+/// tiles the non-empty bounds into a bounded grid, and the sink must be
+/// alive.
+void check_topology(const RunCapsule& c) {
+  if (!(c.radio_range > 0.0)) throw CapsuleError("radio_range: must be > 0");
+  const double cols = c.deployment.bounds.width() / c.radio_range;
+  const double rows = c.deployment.bounds.height() / c.radio_range;
+  if (!(cols > 0.0 && rows > 0.0 &&
+        std::max(cols, 1.0) * std::max(rows, 1.0) <= kMaxItems))
+    throw CapsuleError(
+        "deployment.bounds: must tile into at most 2^26 radio-range cells");
+  const auto sink = static_cast<std::size_t>(c.sink);
+  if (c.sink < 0 || sink >= c.deployment.nodes.size() ||
+      !c.deployment.nodes[sink].alive)
+    throw CapsuleError("sink: must name an alive node");
 }
 
 SingleShotOutputs execute_single_shot(
@@ -257,643 +833,6 @@ void execute_continuous(
     }
   }
   if (telemetry_out != nullptr) *telemetry_out = telemetry.snapshot();
-}
-
-std::string encode_telemetry(const obs::NodeTelemetrySnapshot& t) {
-  Writer w;
-  const auto n = static_cast<std::size_t>(t.size());
-  w.put_u64(n);
-  for (double v : t.tx_bytes) w.put_f64(v);
-  for (double v : t.rx_bytes) w.put_f64(v);
-  for (double v : t.ops) w.put_f64(v);
-  for (int v : t.hops) w.put_i64(v);
-  for (long long v : t.generated) w.put_i64(v);
-  for (long long v : t.delivered) w.put_i64(v);
-  for (long long v : t.filtered) w.put_i64(v);
-  for (long long v : t.lost_channel) w.put_i64(v);
-  for (long long v : t.lost_crash) w.put_i64(v);
-  for (long long v : t.relayed) w.put_i64(v);
-  for (long long v : t.retries) w.put_i64(v);
-  for (long long v : t.drops) w.put_i64(v);
-  w.put_f64(t.energy.tx_j_per_byte);
-  w.put_f64(t.energy.rx_j_per_byte);
-  w.put_f64(t.energy.j_per_op);
-  // Per-phase lanes stay out of the capsule on purpose: they are derived
-  // observability detail, and omitting them keeps the section a fixed
-  // 12-array schema. The link-impairment counters ride *after* the
-  // energy triple so pre-impairment readers (which stop at the triple)
-  // never see them, and pre-impairment capsules decode with the guarded
-  // tail below.
-  for (long long v : t.dup_rx) w.put_i64(v);
-  for (long long v : t.corrupt_rx) w.put_i64(v);
-  for (long long v : t.arq_timeouts) w.put_i64(v);
-  return w.take();
-}
-
-void decode_telemetry(Reader r, obs::NodeTelemetrySnapshot& t) {
-  const std::size_t n = r.get_count(kMaxNodes, 12);
-  t.tx_bytes.resize(n);
-  t.rx_bytes.resize(n);
-  t.ops.resize(n);
-  t.hops.resize(n);
-  t.generated.resize(n);
-  t.delivered.resize(n);
-  t.filtered.resize(n);
-  t.lost_channel.resize(n);
-  t.lost_crash.resize(n);
-  t.relayed.resize(n);
-  t.retries.resize(n);
-  t.drops.resize(n);
-  for (double& v : t.tx_bytes) v = r.get_f64();
-  for (double& v : t.rx_bytes) v = r.get_f64();
-  for (double& v : t.ops) v = r.get_f64();
-  for (int& v : t.hops) v = static_cast<int>(r.get_i64());
-  for (long long& v : t.generated) v = r.get_i64();
-  for (long long& v : t.delivered) v = r.get_i64();
-  for (long long& v : t.filtered) v = r.get_i64();
-  for (long long& v : t.lost_channel) v = r.get_i64();
-  for (long long& v : t.lost_crash) v = r.get_i64();
-  for (long long& v : t.relayed) v = r.get_i64();
-  for (long long& v : t.retries) v = r.get_i64();
-  for (long long& v : t.drops) v = r.get_i64();
-  t.energy.tx_j_per_byte = r.get_f64();
-  t.energy.rx_j_per_byte = r.get_f64();
-  t.energy.j_per_op = r.get_f64();
-  // Impairment counters: absent in pre-impairment capsules, where the
-  // vectors stay empty. diff_telemetry treats an empty array as n zeros,
-  // so such capsules still compare clean against fresh replays (which
-  // always fill the arrays — with zeros on an unimpaired run).
-  if (!r.done()) {
-    t.dup_rx.resize(n);
-    t.corrupt_rx.resize(n);
-    t.arq_timeouts.resize(n);
-    for (long long& v : t.dup_rx) v = r.get_i64();
-    for (long long& v : t.corrupt_rx) v = r.get_i64();
-    for (long long& v : t.arq_timeouts) v = r.get_i64();
-  }
-  expect_done(r, "telemetry");
-}
-
-// --- Section payload encode/decode ------------------------------------
-
-std::string encode_meta(const RunCapsule& c) {
-  Writer w;
-  w.put_u64(kRunSchemaVersion);
-  w.put_u64(static_cast<std::uint64_t>(c.kind));
-  w.put_string(c.label);
-  return w.take();
-}
-
-void decode_meta(Reader r, RunCapsule& c) {
-  const std::uint64_t schema = r.get_u64();
-  if (schema == 0 || schema > kRunSchemaVersion)
-    throw CapsuleError("unsupported run schema version " +
-                       std::to_string(schema));
-  const std::uint64_t kind = r.get_u64();
-  if (kind > 1) throw CapsuleError("unknown run kind");
-  c.kind = static_cast<RunKind>(kind);
-  c.label = r.get_string();
-  expect_done(r, "meta");
-}
-
-std::string encode_config(const ScenarioConfig& s) {
-  Writer w;
-  w.put_i64(s.num_nodes);
-  w.put_f64(s.field_side);
-  w.put_f64(s.radio_range);
-  w.put_bool(s.grid_deployment);
-  w.put_f64(s.failure_fraction);
-  w.put_u64(static_cast<std::uint64_t>(s.field));
-  w.put_i64(s.random_field_bumps);
-  w.put_f64(s.random_field_amplitude);
-  w.put_u64(s.seed);
-  w.put_f64(s.sink_fx);
-  w.put_f64(s.sink_fy);
-  w.put_f64(s.reading_noise_std);
-  w.put_f64(s.position_error_std);
-  return w.take();
-}
-
-void decode_config(Reader r, ScenarioConfig& s) {
-  s.num_nodes = static_cast<int>(r.get_i64());
-  s.field_side = r.get_f64();
-  s.radio_range = r.get_f64();
-  s.grid_deployment = r.get_bool();
-  s.failure_fraction = r.get_f64();
-  const std::uint64_t field = r.get_u64();
-  if (field > static_cast<std::uint64_t>(FieldKind::kSloped))
-    throw CapsuleError("unknown field kind");
-  s.field = static_cast<FieldKind>(field);
-  s.random_field_bumps = static_cast<int>(r.get_i64());
-  s.random_field_amplitude = r.get_f64();
-  s.seed = r.get_u64();
-  s.sink_fx = r.get_f64();
-  s.sink_fy = r.get_f64();
-  s.reading_noise_std = r.get_f64();
-  s.position_error_std = r.get_f64();
-  expect_done(r, "config");
-}
-
-std::string encode_options(const IsoMapOptions& o) {
-  Writer w;
-  const ContourQuery& q = o.query;
-  w.put_f64(q.lambda_lo);
-  w.put_f64(q.lambda_hi);
-  w.put_f64(q.granularity);
-  w.put_f64(q.epsilon_fraction);
-  w.put_f64(q.angular_separation_deg);
-  w.put_f64(q.distance_separation);
-  w.put_bool(q.enable_filtering);
-  w.put_i64(q.regression_hops);
-  w.put_u64(static_cast<std::uint64_t>(o.regulation));
-  w.put_bool(o.account_local_measurement);
-  w.put_bool(o.account_query_dissemination);
-  w.put_f64(o.header_bytes);
-  w.put_f64(o.link_loss);
-  w.put_i64(o.link_retries);
-  w.put_u64(o.link_seed);
-  w.put_bool(o.link_burst.has_value());
-  if (o.link_burst) {
-    w.put_f64(o.link_burst->p_enter_burst);
-    w.put_f64(o.link_burst->p_exit_burst);
-    w.put_f64(o.link_burst->loss_good);
-    w.put_f64(o.link_burst->loss_bad);
-  }
-  const FaultConfig& f = o.fault;
-  w.put_f64(f.crash_fraction);
-  w.put_f64(f.crash_window_begin);
-  w.put_f64(f.crash_window_end);
-  w.put_bool(f.blackout);
-  put_vec2(w, f.blackout_center);
-  w.put_f64(f.blackout_radius);
-  w.put_f64(f.blackout_time);
-  w.put_u64(f.seed);
-  w.put_bool(f.self_healing);
-  w.put_bool(o.record_transmissions);
-  w.put_bool(o.adaptive_epsilon);
-  return w.take();
-}
-
-void decode_options(Reader r, IsoMapOptions& o) {
-  ContourQuery& q = o.query;
-  q.lambda_lo = r.get_f64();
-  q.lambda_hi = r.get_f64();
-  q.granularity = r.get_f64();
-  q.epsilon_fraction = r.get_f64();
-  q.angular_separation_deg = r.get_f64();
-  q.distance_separation = r.get_f64();
-  q.enable_filtering = r.get_bool();
-  q.regression_hops = static_cast<int>(r.get_i64());
-  const std::uint64_t regulation = r.get_u64();
-  if (regulation > static_cast<std::uint64_t>(RegulationMode::kBlended))
-    throw CapsuleError("unknown regulation mode");
-  o.regulation = static_cast<RegulationMode>(regulation);
-  o.account_local_measurement = r.get_bool();
-  o.account_query_dissemination = r.get_bool();
-  o.header_bytes = r.get_f64();
-  o.link_loss = r.get_f64();
-  o.link_retries = static_cast<int>(r.get_i64());
-  o.link_seed = r.get_u64();
-  if (r.get_bool()) {
-    GilbertElliottParams burst;
-    burst.p_enter_burst = r.get_f64();
-    burst.p_exit_burst = r.get_f64();
-    burst.loss_good = r.get_f64();
-    burst.loss_bad = r.get_f64();
-    o.link_burst = burst;
-  } else {
-    o.link_burst.reset();
-  }
-  FaultConfig& f = o.fault;
-  f.crash_fraction = r.get_f64();
-  f.crash_window_begin = r.get_f64();
-  f.crash_window_end = r.get_f64();
-  f.blackout = r.get_bool();
-  f.blackout_center = get_vec2(r);
-  f.blackout_radius = r.get_f64();
-  f.blackout_time = r.get_f64();
-  f.seed = r.get_u64();
-  f.self_healing = r.get_bool();
-  o.record_transmissions = r.get_bool();
-  o.adaptive_epsilon = r.get_bool();
-  expect_done(r, "options");
-}
-
-/// Link impairment + ARQ configuration (tag 12, optional — present only
-/// when options.link_impair is set, so pre-impairment capsules and
-/// unimpaired runs carry byte-identical sections).
-std::string encode_link_impair(const ImpairmentConfig& impair,
-                               const ArqConfig& arq) {
-  Writer w;
-  w.put_f64(impair.latency_s);
-  w.put_f64(impair.jitter_s);
-  w.put_f64(impair.dup_prob);
-  w.put_f64(impair.reorder_prob);
-  w.put_f64(impair.reorder_extra_s);
-  w.put_f64(impair.corrupt_prob);
-  w.put_i64(arq.window);
-  w.put_f64(arq.frame_payload_bytes);
-  w.put_f64(arq.timeout_s);
-  w.put_f64(arq.backoff_factor);
-  w.put_f64(arq.max_timeout_s);
-  w.put_i64(arq.max_frame_attempts);
-  return w.take();
-}
-
-void decode_link_impair(Reader r, IsoMapOptions& o) {
-  ImpairmentConfig impair;
-  impair.latency_s = r.get_f64();
-  impair.jitter_s = r.get_f64();
-  impair.dup_prob = r.get_f64();
-  impair.reorder_prob = r.get_f64();
-  impair.reorder_extra_s = r.get_f64();
-  impair.corrupt_prob = r.get_f64();
-  o.link_arq.window = static_cast<int>(r.get_i64());
-  o.link_arq.frame_payload_bytes = r.get_f64();
-  o.link_arq.timeout_s = r.get_f64();
-  o.link_arq.backoff_factor = r.get_f64();
-  o.link_arq.max_timeout_s = r.get_f64();
-  o.link_arq.max_frame_attempts = static_cast<int>(r.get_i64());
-  o.link_impair = impair;
-  expect_done(r, "link_impair");
-}
-
-std::string encode_continuous(const ContinuousOptions& o) {
-  Writer w;
-  w.put_f64(o.gradient_refresh_deg);
-  w.put_f64(o.withdraw_bytes);
-  w.put_f64(o.beacon_bytes);
-  w.put_i64(o.stale_rounds);
-  w.put_u64(static_cast<std::uint64_t>(o.engine));
-  return w.take();
-}
-
-void decode_continuous(Reader r, ContinuousOptions& o) {
-  o.gradient_refresh_deg = r.get_f64();
-  o.withdraw_bytes = r.get_f64();
-  o.beacon_bytes = r.get_f64();
-  o.stale_rounds = static_cast<int>(r.get_i64());
-  const std::uint64_t engine = r.get_u64();
-  if (engine > static_cast<std::uint64_t>(ContinuousEngine::kIncremental))
-    throw CapsuleError("unknown continuous engine");
-  o.engine = static_cast<ContinuousEngine>(engine);
-  expect_done(r, "continuous");
-}
-
-std::string encode_deployment(const RunCapsule& c) {
-  Writer w;
-  const DeploymentSnapshot& d = c.deployment;
-  w.put_f64(d.bounds.x0);
-  w.put_f64(d.bounds.y0);
-  w.put_f64(d.bounds.x1);
-  w.put_f64(d.bounds.y1);
-  w.put_f64(c.radio_range);
-  w.put_i64(c.sink);
-  w.put_u64(d.nodes.size());
-  for (const auto& node : d.nodes) {
-    put_vec2(w, node.pos);
-    w.put_bool(node.alive);
-    w.put_bool(node.believed.has_value());
-    if (node.believed) put_vec2(w, *node.believed);
-  }
-  return w.take();
-}
-
-void decode_deployment(Reader r, RunCapsule& c) {
-  DeploymentSnapshot& d = c.deployment;
-  d.bounds.x0 = r.get_f64();
-  d.bounds.y0 = r.get_f64();
-  d.bounds.x1 = r.get_f64();
-  d.bounds.y1 = r.get_f64();
-  c.radio_range = r.get_f64();
-  c.sink = static_cast<int>(r.get_i64());
-  d.nodes.resize(r.get_count(kMaxNodes, 18));
-  for (auto& node : d.nodes) {
-    node.pos = get_vec2(r);
-    node.alive = r.get_bool();
-    if (r.get_bool())
-      node.believed = get_vec2(r);
-    else
-      node.believed.reset();
-  }
-  if (c.sink < 0 || static_cast<std::size_t>(c.sink) >= d.nodes.size())
-    throw CapsuleError("sink id out of range");
-  expect_done(r, "deployment");
-}
-
-std::string encode_fault_plan(const FaultPlan& plan) {
-  Writer w;
-  w.put_u64(plan.size());
-  for (const FaultEvent& e : plan.events()) {
-    w.put_f64(e.time);
-    w.put_u64(static_cast<std::uint64_t>(e.kind));
-    w.put_i64(e.node);
-    put_vec2(w, e.center);
-    w.put_f64(e.radius);
-  }
-  return w.take();
-}
-
-void decode_fault_plan(Reader r, FaultPlan& plan) {
-  const std::size_t count = r.get_count(kMaxItems, 10);
-  for (std::size_t i = 0; i < count; ++i) {
-    FaultEvent e;
-    e.time = r.get_f64();
-    const std::uint64_t kind = r.get_u64();
-    if (kind > static_cast<std::uint64_t>(FaultKind::kRegionBlackout))
-      throw CapsuleError("unknown fault kind");
-    e.kind = static_cast<FaultKind>(kind);
-    e.node = static_cast<int>(r.get_i64());
-    e.center = get_vec2(r);
-    e.radius = r.get_f64();
-    if (!(e.time >= 0.0 && e.time <= 1.0) || !(e.radius >= 0.0))
-      throw CapsuleError("fault event out of range");
-    plan.add(e);
-  }
-  expect_done(r, "fault_plan");
-}
-
-std::string encode_readings(const std::vector<std::vector<double>>& rounds) {
-  Writer w;
-  w.put_u64(rounds.size());
-  for (const auto& round : rounds) {
-    w.put_u64(round.size());
-    for (double v : round) w.put_f64(v);
-  }
-  return w.take();
-}
-
-void decode_readings(Reader r, std::vector<std::vector<double>>& rounds) {
-  rounds.resize(r.get_count(kMaxRounds, 1));
-  for (auto& round : rounds) {
-    round.resize(r.get_count(kMaxNodes, 8));
-    for (double& v : round) v = r.get_f64();
-  }
-  expect_done(r, "readings");
-}
-
-std::string encode_single_outputs(const SingleShotOutputs& o) {
-  Writer w;
-  w.put_i64(o.isoline_node_count);
-  w.put_i64(o.generated_reports);
-  w.put_i64(o.delivered_reports);
-  w.put_i64(o.filtered_reports);
-  w.put_i64(o.lost_channel_reports);
-  w.put_i64(o.lost_crash_reports);
-  w.put_i64(o.crashed_nodes);
-  w.put_i64(o.route_repairs);
-  w.put_f64(o.repair_traffic_bytes);
-  w.put_f64(o.report_traffic_bytes);
-  w.put_f64(o.measurement_traffic_bytes);
-  w.put_f64(o.dissemination_traffic_bytes);
-  w.put_f64(o.bottleneck_bytes);
-  w.put_u64(o.sink_reports.size());
-  for (const auto& report : o.sink_reports) put_report(w, report);
-  put_contours(w, o.contours);
-  put_ledger(w, o.ledger);
-  w.put_string(o.summary_json);
-  // Impairment latency tail: appended after every original field so
-  // pre-impairment readers stop cleanly before it, and pre-impairment
-  // capsules decode with the guarded tail below (fields default to 0.0,
-  // matching an unimpaired fresh replay bit for bit).
-  w.put_f64(o.e2e_first_latency_s);
-  w.put_f64(o.e2e_last_latency_s);
-  w.put_f64(o.e2e_mean_latency_s);
-  return w.take();
-}
-
-void decode_single_outputs(Reader r, SingleShotOutputs& o) {
-  o.isoline_node_count = static_cast<int>(r.get_i64());
-  o.generated_reports = static_cast<int>(r.get_i64());
-  o.delivered_reports = static_cast<int>(r.get_i64());
-  o.filtered_reports = static_cast<int>(r.get_i64());
-  o.lost_channel_reports = static_cast<int>(r.get_i64());
-  o.lost_crash_reports = static_cast<int>(r.get_i64());
-  o.crashed_nodes = static_cast<int>(r.get_i64());
-  o.route_repairs = static_cast<int>(r.get_i64());
-  o.repair_traffic_bytes = r.get_f64();
-  o.report_traffic_bytes = r.get_f64();
-  o.measurement_traffic_bytes = r.get_f64();
-  o.dissemination_traffic_bytes = r.get_f64();
-  o.bottleneck_bytes = r.get_f64();
-  o.sink_reports.resize(r.get_count(kMaxItems, 40));
-  for (auto& report : o.sink_reports) report = get_report(r);
-  o.contours = get_contours(r);
-  o.ledger = get_ledger(r);
-  o.summary_json = r.get_string();
-  if (!r.done()) {
-    o.e2e_first_latency_s = r.get_f64();
-    o.e2e_last_latency_s = r.get_f64();
-    o.e2e_mean_latency_s = r.get_f64();
-  }
-  expect_done(r, "single_outputs");
-}
-
-std::string encode_round_outputs(const std::vector<RoundOutputs>& rounds) {
-  Writer w;
-  w.put_u64(rounds.size());
-  for (const RoundOutputs& o : rounds) {
-    w.put_i64(o.adds);
-    w.put_i64(o.refreshes);
-    w.put_i64(o.withdrawals);
-    w.put_i64(o.suppressed);
-    w.put_i64(o.keepalives);
-    w.put_i64(o.expired);
-    w.put_i64(o.active_reports);
-    w.put_f64(o.delta_traffic_bytes);
-    w.put_f64(o.beacon_traffic_bytes);
-    w.put_u64(o.sink.size());
-    for (const auto& entry : o.sink) {
-      w.put_i64(entry.node);
-      w.put_i64(entry.level);
-      w.put_i64(entry.last_update);
-      put_report(w, entry.report);
-    }
-    put_ledger(w, o.ledger);
-  }
-  return w.take();
-}
-
-void decode_round_outputs(Reader r, std::vector<RoundOutputs>& rounds) {
-  rounds.resize(r.get_count(kMaxRounds, 24));
-  for (RoundOutputs& o : rounds) {
-    o.adds = static_cast<int>(r.get_i64());
-    o.refreshes = static_cast<int>(r.get_i64());
-    o.withdrawals = static_cast<int>(r.get_i64());
-    o.suppressed = static_cast<int>(r.get_i64());
-    o.keepalives = static_cast<int>(r.get_i64());
-    o.expired = static_cast<int>(r.get_i64());
-    o.active_reports = static_cast<int>(r.get_i64());
-    o.delta_traffic_bytes = r.get_f64();
-    o.beacon_traffic_bytes = r.get_f64();
-    o.sink.resize(r.get_count(kMaxItems, 42));
-    for (auto& entry : o.sink) {
-      entry.node = static_cast<int>(r.get_i64());
-      entry.level = static_cast<int>(r.get_i64());
-      entry.last_update = static_cast<int>(r.get_i64());
-      entry.report = get_report(r);
-    }
-    o.ledger = get_ledger(r);
-  }
-  expect_done(r, "round_outputs");
-}
-
-std::string encode_final_map(const RunCapsule& c) {
-  Writer w;
-  put_contours(w, c.final_contours);
-  w.put_string(c.final_summary_json);
-  return w.take();
-}
-
-void decode_final_map(Reader r, RunCapsule& c) {
-  c.final_contours = get_contours(r);
-  c.final_summary_json = r.get_string();
-  expect_done(r, "final_map");
-}
-
-// --- Structured output diffing -----------------------------------------
-
-/// Collects the first mismatch; all eq_* helpers are no-ops once one is
-/// found, so comparisons read as straight-line code.
-class DiffFinder {
- public:
-  void eq_i(const std::string& where, long long stored, long long fresh) {
-    if (found_ || stored == fresh) return;
-    found_ = OutputDiff{where, "stored=" + std::to_string(stored) +
-                                   " recomputed=" + std::to_string(fresh)};
-  }
-  void eq_f(const std::string& where, double stored, double fresh) {
-    if (found_ || bits(stored) == bits(fresh)) return;
-    std::ostringstream os;
-    os.precision(17);
-    os << "stored=" << stored << " recomputed=" << fresh << " (bits 0x"
-       << std::hex << bits(stored) << " vs 0x" << bits(fresh) << ")";
-    found_ = OutputDiff{where, os.str()};
-  }
-  void eq_s(const std::string& where, const std::string& stored,
-            const std::string& fresh) {
-    if (found_ || stored == fresh) return;
-    std::size_t at = 0;
-    while (at < stored.size() && at < fresh.size() && stored[at] == fresh[at])
-      ++at;
-    found_ = OutputDiff{where, "strings diverge at byte " +
-                                   std::to_string(at) + " (stored " +
-                                   std::to_string(stored.size()) +
-                                   " bytes, recomputed " +
-                                   std::to_string(fresh.size()) + ")"};
-  }
-  bool done() const { return found_.has_value(); }
-  const std::optional<OutputDiff>& result() const { return found_; }
-
- private:
-  std::optional<OutputDiff> found_;
-};
-
-void diff_reports(DiffFinder& d, const std::string& where,
-                  const std::vector<IsolineReport>& stored,
-                  const std::vector<IsolineReport>& fresh) {
-  d.eq_i(where + ".count", static_cast<long long>(stored.size()),
-         static_cast<long long>(fresh.size()));
-  for (std::size_t i = 0; i < stored.size() && !d.done(); ++i) {
-    const std::string at = where + "[" + std::to_string(i) + "]";
-    d.eq_f(at + ".isolevel", stored[i].isolevel, fresh[i].isolevel);
-    d.eq_f(at + ".position.x", stored[i].position.x, fresh[i].position.x);
-    d.eq_f(at + ".position.y", stored[i].position.y, fresh[i].position.y);
-    d.eq_f(at + ".gradient.x", stored[i].gradient.x, fresh[i].gradient.x);
-    d.eq_f(at + ".gradient.y", stored[i].gradient.y, fresh[i].gradient.y);
-    d.eq_i(at + ".source", stored[i].source, fresh[i].source);
-  }
-}
-
-void diff_contours(DiffFinder& d, const std::string& where,
-                   const std::vector<LevelContour>& stored,
-                   const std::vector<LevelContour>& fresh) {
-  d.eq_i(where + ".levels", static_cast<long long>(stored.size()),
-         static_cast<long long>(fresh.size()));
-  for (std::size_t k = 0; k < stored.size() && !d.done(); ++k) {
-    const std::string at = where + "[" + std::to_string(k) + "]";
-    d.eq_f(at + ".isolevel", stored[k].isolevel, fresh[k].isolevel);
-    d.eq_i(at + ".report_count", stored[k].report_count,
-           fresh[k].report_count);
-    d.eq_i(at + ".polylines", static_cast<long long>(stored[k].boundaries.size()),
-           static_cast<long long>(fresh[k].boundaries.size()));
-    for (std::size_t p = 0; p < stored[k].boundaries.size() && !d.done();
-         ++p) {
-      const auto& sp = stored[k].boundaries[p];
-      const auto& fp = fresh[k].boundaries[p];
-      const std::string pl = at + ".polyline[" + std::to_string(p) + "]";
-      d.eq_i(pl + ".closed", sp.closed ? 1 : 0, fp.closed ? 1 : 0);
-      d.eq_i(pl + ".points", static_cast<long long>(sp.points.size()),
-             static_cast<long long>(fp.points.size()));
-      for (std::size_t q = 0; q < sp.points.size() && !d.done(); ++q) {
-        const std::string pt = pl + "[" + std::to_string(q) + "]";
-        d.eq_f(pt + ".x", sp.points[q].x, fp.points[q].x);
-        d.eq_f(pt + ".y", sp.points[q].y, fp.points[q].y);
-      }
-    }
-  }
-}
-
-void diff_telemetry(DiffFinder& d, const obs::NodeTelemetrySnapshot& stored,
-                    const obs::NodeTelemetrySnapshot& fresh) {
-  d.eq_i("telemetry.nodes", stored.size(), fresh.size());
-  if (d.done()) return;
-  const auto per_f64 = [&](const char* field,
-                           const std::vector<double>& s,
-                           const std::vector<double>& f) {
-    for (std::size_t i = 0; i < s.size() && !d.done(); ++i)
-      d.eq_f("telemetry." + std::string(field) + "[" + std::to_string(i) +
-                 "]",
-             s[i], f[i]);
-  };
-  const auto per_i64 = [&](const char* field,
-                           const std::vector<long long>& s,
-                           const std::vector<long long>& f) {
-    for (std::size_t i = 0; i < s.size() && !d.done(); ++i)
-      d.eq_i("telemetry." + std::string(field) + "[" + std::to_string(i) +
-                 "]",
-             s[i], f[i]);
-  };
-  per_f64("tx_bytes", stored.tx_bytes, fresh.tx_bytes);
-  per_f64("rx_bytes", stored.rx_bytes, fresh.rx_bytes);
-  per_f64("ops", stored.ops, fresh.ops);
-  for (std::size_t i = 0; i < stored.hops.size() && !d.done(); ++i)
-    d.eq_i("telemetry.hops[" + std::to_string(i) + "]", stored.hops[i],
-           fresh.hops[i]);
-  per_i64("generated", stored.generated, fresh.generated);
-  per_i64("delivered", stored.delivered, fresh.delivered);
-  per_i64("filtered", stored.filtered, fresh.filtered);
-  per_i64("lost_channel", stored.lost_channel, fresh.lost_channel);
-  per_i64("lost_crash", stored.lost_crash, fresh.lost_crash);
-  per_i64("relayed", stored.relayed, fresh.relayed);
-  per_i64("retries", stored.retries, fresh.retries);
-  per_i64("drops", stored.drops, fresh.drops);
-  // Impairment counters: a capsule recorded before they existed decodes
-  // them empty, which compares equal to the all-zero arrays an
-  // unimpaired fresh replay produces (empty reads as n zeros).
-  const auto per_i64_or_zero = [&](const char* field,
-                                   const std::vector<long long>& s,
-                                   const std::vector<long long>& f) {
-    const std::size_t n = std::max(s.size(), f.size());
-    for (std::size_t i = 0; i < n && !d.done(); ++i)
-      d.eq_i("telemetry." + std::string(field) + "[" + std::to_string(i) +
-                 "]",
-             i < s.size() ? s[i] : 0, i < f.size() ? f[i] : 0);
-  };
-  per_i64_or_zero("dup_rx", stored.dup_rx, fresh.dup_rx);
-  per_i64_or_zero("corrupt_rx", stored.corrupt_rx, fresh.corrupt_rx);
-  per_i64_or_zero("arq_timeouts", stored.arq_timeouts, fresh.arq_timeouts);
-}
-
-void diff_ledger(DiffFinder& d, const std::string& where,
-                 const obs::LedgerTotals& stored,
-                 const obs::LedgerTotals& fresh) {
-  d.eq_i(where + ".nodes", stored.nodes, fresh.nodes);
-  d.eq_f(where + ".tx_bytes", stored.tx_bytes, fresh.tx_bytes);
-  d.eq_f(where + ".rx_bytes", stored.rx_bytes, fresh.rx_bytes);
-  d.eq_f(where + ".ops", stored.ops, fresh.ops);
-  d.eq_f(where + ".mean_ops", stored.mean_ops, fresh.mean_ops);
-  d.eq_f(where + ".max_ops", stored.max_ops, fresh.max_ops);
 }
 
 }  // namespace
@@ -989,100 +928,17 @@ RunCapsule replay(const RunCapsule& stored, obs::TraceSink* trace) {
 
 std::optional<OutputDiff> diff_outputs(const RunCapsule& stored,
                                        const RunCapsule& fresh) {
-  DiffFinder d;
-  d.eq_i("meta.kind", static_cast<long long>(stored.kind),
-         static_cast<long long>(fresh.kind));
-  if (d.done()) return d.result();
+  Differ d;
+  d("kind", stored.kind, fresh.kind);
   if (stored.kind == RunKind::kSingleShot) {
-    const SingleShotOutputs& s = stored.single;
-    const SingleShotOutputs& f = fresh.single;
-    d.eq_i("single.isoline_node_count", s.isoline_node_count,
-           f.isoline_node_count);
-    d.eq_i("single.generated_reports", s.generated_reports,
-           f.generated_reports);
-    d.eq_i("single.delivered_reports", s.delivered_reports,
-           f.delivered_reports);
-    d.eq_i("single.filtered_reports", s.filtered_reports,
-           f.filtered_reports);
-    d.eq_i("single.lost_channel_reports", s.lost_channel_reports,
-           f.lost_channel_reports);
-    d.eq_i("single.lost_crash_reports", s.lost_crash_reports,
-           f.lost_crash_reports);
-    d.eq_i("single.crashed_nodes", s.crashed_nodes, f.crashed_nodes);
-    d.eq_i("single.route_repairs", s.route_repairs, f.route_repairs);
-    d.eq_f("single.repair_traffic_bytes", s.repair_traffic_bytes,
-           f.repair_traffic_bytes);
-    d.eq_f("single.report_traffic_bytes", s.report_traffic_bytes,
-           f.report_traffic_bytes);
-    d.eq_f("single.measurement_traffic_bytes", s.measurement_traffic_bytes,
-           f.measurement_traffic_bytes);
-    d.eq_f("single.dissemination_traffic_bytes",
-           s.dissemination_traffic_bytes, f.dissemination_traffic_bytes);
-    d.eq_f("single.bottleneck_bytes", s.bottleneck_bytes,
-           f.bottleneck_bytes);
-    d.eq_f("single.e2e_first_latency_s", s.e2e_first_latency_s,
-           f.e2e_first_latency_s);
-    d.eq_f("single.e2e_last_latency_s", s.e2e_last_latency_s,
-           f.e2e_last_latency_s);
-    d.eq_f("single.e2e_mean_latency_s", s.e2e_mean_latency_s,
-           f.e2e_mean_latency_s);
-    diff_reports(d, "single.sink_reports", s.sink_reports, f.sink_reports);
-    diff_contours(d, "single.contours", s.contours, f.contours);
-    diff_ledger(d, "single.ledger", s.ledger, f.ledger);
-    d.eq_s("single.summary", s.summary_json, f.summary_json);
-    // Telemetry is compared only when the stored capsule carries the
-    // section: pre-telemetry goldens keep their original surface.
-    if (stored.telemetry && fresh.telemetry)
-      diff_telemetry(d, *stored.telemetry, *fresh.telemetry);
-    return d.result();
+    kSingleOutputs(d, stored, fresh);
+  } else {
+    kRoundOutputs(d, stored, fresh);
+    kFinalMap(d, stored, fresh);
   }
-  d.eq_i("rounds.count", static_cast<long long>(stored.round_outputs.size()),
-         static_cast<long long>(fresh.round_outputs.size()));
-  for (std::size_t r = 0; r < stored.round_outputs.size() && !d.done();
-       ++r) {
-    const RoundOutputs& s = stored.round_outputs[r];
-    const RoundOutputs& f = fresh.round_outputs[r];
-    const std::string at = "rounds[" + std::to_string(r) + "]";
-    d.eq_i(at + ".adds", s.adds, f.adds);
-    d.eq_i(at + ".refreshes", s.refreshes, f.refreshes);
-    d.eq_i(at + ".withdrawals", s.withdrawals, f.withdrawals);
-    d.eq_i(at + ".suppressed", s.suppressed, f.suppressed);
-    d.eq_i(at + ".keepalives", s.keepalives, f.keepalives);
-    d.eq_i(at + ".expired", s.expired, f.expired);
-    d.eq_i(at + ".active_reports", s.active_reports, f.active_reports);
-    d.eq_f(at + ".delta_traffic_bytes", s.delta_traffic_bytes,
-           f.delta_traffic_bytes);
-    d.eq_f(at + ".beacon_traffic_bytes", s.beacon_traffic_bytes,
-           f.beacon_traffic_bytes);
-    d.eq_i(at + ".sink.count", static_cast<long long>(s.sink.size()),
-           static_cast<long long>(f.sink.size()));
-    for (std::size_t i = 0; i < s.sink.size() && !d.done(); ++i) {
-      const auto& se = s.sink[i];
-      const auto& fe = f.sink[i];
-      const std::string entry = at + ".sink[" + std::to_string(i) + "]";
-      d.eq_i(entry + ".node", se.node, fe.node);
-      d.eq_i(entry + ".level", se.level, fe.level);
-      d.eq_i(entry + ".last_update", se.last_update, fe.last_update);
-      d.eq_f(entry + ".report.isolevel", se.report.isolevel,
-             fe.report.isolevel);
-      d.eq_f(entry + ".report.position.x", se.report.position.x,
-             fe.report.position.x);
-      d.eq_f(entry + ".report.position.y", se.report.position.y,
-             fe.report.position.y);
-      d.eq_f(entry + ".report.gradient.x", se.report.gradient.x,
-             fe.report.gradient.x);
-      d.eq_f(entry + ".report.gradient.y", se.report.gradient.y,
-             fe.report.gradient.y);
-      d.eq_i(entry + ".report.source", se.report.source, fe.report.source);
-    }
-    diff_ledger(d, at + ".ledger", s.ledger, f.ledger);
-  }
-  diff_contours(d, "final_map.contours", stored.final_contours,
-                fresh.final_contours);
-  d.eq_s("final_map.summary", stored.final_summary_json,
-         fresh.final_summary_json);
-  if (stored.telemetry && fresh.telemetry)
-    diff_telemetry(d, *stored.telemetry, *fresh.telemetry);
+  // Telemetry is compared only when both sides carry the section:
+  // pre-telemetry goldens keep their original surface.
+  if (stored.telemetry && fresh.telemetry) kTelemetry(d, stored, fresh);
   return d.result();
 }
 
@@ -1090,84 +946,78 @@ std::optional<OutputDiff> check_fault_plan(const RunCapsule& c) {
   const Deployment deployment = c.deployment.materialize();
   const FaultPlan derived =
       make_fault_plan(c.options.fault, deployment, c.sink);
-  DiffFinder d;
-  d.eq_i("fault_plan.count", static_cast<long long>(c.fault_plan.size()),
-         static_cast<long long>(derived.size()));
-  const auto& stored = c.fault_plan.events();
-  const auto& fresh = derived.events();
-  for (std::size_t i = 0; i < stored.size() && !d.done(); ++i) {
-    const std::string at = "fault_plan[" + std::to_string(i) + "]";
-    d.eq_f(at + ".time", stored[i].time, fresh[i].time);
-    d.eq_i(at + ".kind", static_cast<long long>(stored[i].kind),
-           static_cast<long long>(fresh[i].kind));
-    d.eq_i(at + ".node", stored[i].node, fresh[i].node);
-    d.eq_f(at + ".center.x", stored[i].center.x, fresh[i].center.x);
-    d.eq_f(at + ".center.y", stored[i].center.y, fresh[i].center.y);
-    d.eq_f(at + ".radius", stored[i].radius, fresh[i].radius);
-  }
+  Differ d;
+  kFaultPlan(d, c.fault_plan.events(), derived.events());
   return d.result();
 }
 
 Capsule to_capsule(const RunCapsule& run) {
   Capsule c;
-  c.add(kMetaTag, encode_meta(run));
-  c.add(kConfigTag, encode_config(run.config));
-  c.add(kOptionsTag, encode_options(run.options));
-  if (run.options.link_impair)
-    c.add(kLinkImpairTag,
-          encode_link_impair(*run.options.link_impair, run.options.link_arq));
-  if (run.kind == RunKind::kContinuous)
-    c.add(kContinuousTag, encode_continuous(run.continuous));
-  c.add(kDeploymentTag, encode_deployment(run));
-  c.add(kFaultPlanTag, encode_fault_plan(run.fault_plan));
-  c.add(kReadingsTag, encode_readings(run.rounds));
+  const auto add = [&](Tag tag, auto fields, const auto& target) {
+    Encoder e;
+    fields(e, target);
+    c.add(tag, e.take());
+  };
+  add(kMetaTag, kMeta, run);
+  add(kConfigTag, kConfig, run);
+  add(kOptionsTag, kOptions, run);
+  if (run.options.link_impair) add(kLinkImpairTag, kLinkImpair, run);
+  if (run.kind == RunKind::kContinuous) add(kContinuousTag, kContinuous, run);
+  add(kDeploymentTag, kDeployment, run);
+  add(kFaultPlanTag, kFaultPlan, run.fault_plan.events());
+  add(kReadingsTag, kReadings, run);
   if (run.kind == RunKind::kSingleShot) {
-    c.add(kSingleOutputsTag, encode_single_outputs(run.single));
+    add(kSingleOutputsTag, kSingleOutputs, run);
   } else {
-    c.add(kRoundOutputsTag, encode_round_outputs(run.round_outputs));
-    c.add(kFinalMapTag, encode_final_map(run));
+    add(kRoundOutputsTag, kRoundOutputs, run);
+    add(kFinalMapTag, kFinalMap, run);
   }
-  if (run.telemetry) c.add(kTelemetryTag, encode_telemetry(*run.telemetry));
+  if (run.telemetry) add(kTelemetryTag, kTelemetry, run);
   return c;
 }
 
 RunCapsule from_capsule(const Capsule& c) {
   RunCapsule run;
-  decode_meta(Reader(require(c, kMetaTag, "meta").payload), run);
-  decode_config(Reader(require(c, kConfigTag, "config").payload),
-                run.config);
-  decode_options(Reader(require(c, kOptionsTag, "options").payload),
-                 run.options);
-  if (const Section* s = c.find(kLinkImpairTag))
-    decode_link_impair(Reader(s->payload), run.options);
+  const auto read = [&](Tag tag, const char* section, auto fields,
+                        auto& target) {
+    const Section* s = c.find(tag);
+    if (s == nullptr)
+      throw CapsuleError(std::string("missing required section ") + section);
+    // Option and topology doubles must be finite; readings and recorded
+    // outputs are kept as they are.
+    Decoder d(s->payload, section,
+              tag == kOptionsTag || tag == kLinkImpairTag ||
+                  tag == kContinuousTag || tag == kDeploymentTag);
+    fields(d, target);
+    d.finish();
+  };
+  read(kMetaTag, "meta", kMeta, run);
+  read(kConfigTag, "config", kConfig, run);
+  read(kOptionsTag, "options", kOptions, run);
+  if (c.find(kLinkImpairTag) != nullptr) {
+    run.options.link_impair.emplace();
+    read(kLinkImpairTag, "link_impair", kLinkImpair, run);
+  }
   if (run.kind == RunKind::kContinuous) {
-    decode_continuous(
-        Reader(require(c, kContinuousTag, "continuous").payload),
-        run.continuous);
+    read(kContinuousTag, "continuous", kContinuous, run);
     run.continuous.base = run.options;
   }
-  decode_deployment(Reader(require(c, kDeploymentTag, "deployment").payload),
-                    run);
-  decode_fault_plan(Reader(require(c, kFaultPlanTag, "fault_plan").payload),
-                    run.fault_plan);
-  decode_readings(Reader(require(c, kReadingsTag, "readings").payload),
-                  run.rounds);
+  read(kDeploymentTag, "deployment", kDeployment, run);
+  check_topology(run);
+  std::vector<FaultEvent> events;
+  read(kFaultPlanTag, "fault_plan", kFaultPlan, events);
+  for (const FaultEvent& e : events) run.fault_plan.add(e);
+  read(kReadingsTag, "readings", kReadings, run);
   check_readings(run);
   if (run.kind == RunKind::kSingleShot) {
-    decode_single_outputs(
-        Reader(require(c, kSingleOutputsTag, "single_outputs").payload),
-        run.single);
+    read(kSingleOutputsTag, "single_outputs", kSingleOutputs, run);
   } else {
-    decode_round_outputs(
-        Reader(require(c, kRoundOutputsTag, "round_outputs").payload),
-        run.round_outputs);
-    decode_final_map(Reader(require(c, kFinalMapTag, "final_map").payload),
-                     run);
+    read(kRoundOutputsTag, "round_outputs", kRoundOutputs, run);
+    read(kFinalMapTag, "final_map", kFinalMap, run);
   }
-  if (const Section* s = c.find(kTelemetryTag)) {
-    obs::NodeTelemetrySnapshot t;
-    decode_telemetry(Reader(s->payload), t);
-    run.telemetry = std::move(t);
+  if (c.find(kTelemetryTag) != nullptr) {
+    run.telemetry.emplace();
+    read(kTelemetryTag, "telemetry", kTelemetry, run);
   }
   return run;
 }

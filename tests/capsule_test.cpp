@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -411,38 +413,281 @@ void expect_clean_decode(const std::string& bytes) {
   }
 }
 
+/// Both capsule kinds, so every section (continuous, round_outputs and
+/// final_map included) is fuzzed.
+std::vector<RunCapsule> fuzz_inputs() {
+  return {small_single_shot(), small_continuous()};
+}
+
 TEST(CapsuleFuzz, TruncationNeverCrashes) {
-  const std::string bytes = to_capsule(small_single_shot()).encode();
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-    expect_clean_decode(bytes.substr(0, cut));
+  for (const RunCapsule& run : fuzz_inputs()) {
+    SCOPED_TRACE(run.label);
+    const std::string bytes = to_capsule(run).encode();
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut)
+      expect_clean_decode(bytes.substr(0, cut));
+  }
 }
 
 TEST(CapsuleFuzz, ByteFlipsNeverCrash) {
-  const std::string bytes = to_capsule(small_single_shot()).encode();
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    for (const char mask : {'\x01', '\x80', '\xFF'}) {
-      std::string mutated = bytes;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
-      expect_clean_decode(mutated);
+  for (const RunCapsule& run : fuzz_inputs()) {
+    SCOPED_TRACE(run.label);
+    const std::string bytes = to_capsule(run).encode();
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+      for (const char mask : {'\x01', '\x80', '\xFF'}) {
+        std::string mutated = bytes;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+        expect_clean_decode(mutated);
+      }
     }
   }
 }
 
 TEST(CapsuleFuzz, CorruptCountsCannotBalloonAllocations) {
-  // A section whose node count claims far more items than the payload
-  // holds must be rejected up front (not after a giant resize).
-  const RunCapsule run = small_single_shot();
-  Capsule c = to_capsule(run);
-  for (Section& s : c.sections) {
-    Writer w;
-    w.put_u64((1ULL << 22) - 1);  // huge but within the count cap
-    s.payload = w.take();
+  // A section whose count claims far more items than the payload holds
+  // must be rejected up front (not after a giant resize). Each section
+  // is corrupted on its own, so every section's decoder meets it.
+  for (const RunCapsule& run : fuzz_inputs()) {
+    const Capsule good = to_capsule(run);
+    for (std::size_t i = 0; i < good.sections.size(); ++i) {
+      SCOPED_TRACE(run.label + ", section tag " +
+                   std::to_string(good.sections[i].tag));
+      Capsule c = good;
+      Writer w;
+      w.put_u64((1ULL << 22) - 1);  // huge but within the count cap
+      c.sections[i].payload = w.take();
+      EXPECT_THROW((void)from_capsule(c), CapsuleError);
+    }
   }
-  EXPECT_THROW((void)from_capsule(c), CapsuleError);
 }
 
 // ---------------------------------------------------------------------------
+// The input boundary is total: an option value the runtime would reject
+// (or choke on) fails to decode, with the field path in the message.
+
+struct Rejection {
+  const char* name;
+  RunCapsule (*record)();
+  void (*corrupt)(RunCapsule&);
+  const char* path;
+};
+
+class CapsuleRejects : public testing::TestWithParam<Rejection> {};
+
+TEST_P(CapsuleRejects, NamesTheFieldPath) {
+  RunCapsule run = GetParam().record();
+  GetParam().corrupt(run);
+  const std::string bytes = to_capsule(run).encode();
+  try {
+    (void)from_capsule(Capsule::decode(bytes));
+    FAIL() << "decoded a capsule with a bad " << GetParam().path;
+  } catch (const CapsuleError& e) {
+    const std::string field = std::string(GetParam().path) + ": ";
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CapsuleRejects, IntegerBeyondItsFieldWidth) {
+  // The wire carries 64-bit integers; a value that would wrap when
+  // stored in an `int` field (here `sink`) must be rejected, not aliased.
+  Capsule c = to_capsule(small_single_shot());
+  for (Section& s : c.sections) {
+    if (s.tag != 5) continue;  // deployment: 4 bounds, radio_range, sink
+    Reader r(s.payload);
+    for (int i = 0; i < 5; ++i) (void)r.get_f64();
+    const std::size_t at = s.payload.size() - r.remaining();
+    const std::int64_t sink = r.get_i64();
+    Writer w;
+    w.put_i64(sink + (std::int64_t{1} << 32));
+    s.payload = s.payload.substr(0, at) + w.take() +
+                s.payload.substr(s.payload.size() - r.remaining());
+  }
+  try {
+    (void)from_capsule(c);
+    FAIL() << "decoded a sink beyond int range";
+  } catch (const CapsuleError& e) {
+    EXPECT_NE(std::string(e.what()).find("sink: value"), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, CapsuleRejects,
+    testing::Values(
+        Rejection{"GranularityZero", small_single_shot,
+                  [](RunCapsule& r) { r.options.query.granularity = 0.0; },
+                  "options.query.granularity"},
+        Rejection{"GranularityNegative", small_single_shot,
+                  [](RunCapsule& r) { r.options.query.granularity = -0.1; },
+                  "options.query.granularity"},
+        Rejection{"GranularityTiny", small_single_shot,
+                  [](RunCapsule& r) { r.options.query.granularity = 1e-10; },
+                  "options.query.granularity"},
+        Rejection{"GranularityNaN", small_single_shot,
+                  [](RunCapsule& r) { r.options.query.granularity = kNaN; },
+                  "options.query.granularity"},
+        Rejection{"LambdaRangeInverted", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.query.lambda_lo = r.options.query.lambda_hi + 1;
+                  },
+                  "options.query.lambda_lo"},
+        Rejection{"NegativeSeparation", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.query.distance_separation = -1.0;
+                  },
+                  "options.query.distance_separation"},
+        Rejection{"AngularSeparationNegative", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.query.angular_separation_deg = -1.0;
+                  },
+                  "options.query.angular_separation_deg"},
+        Rejection{"HeaderBytesNegative", small_single_shot,
+                  [](RunCapsule& r) { r.options.header_bytes = -1.0; },
+                  "options.header_bytes"},
+        Rejection{"WithdrawBytesNegative", small_continuous,
+                  [](RunCapsule& r) { r.continuous.withdraw_bytes = -1.0; },
+                  "continuous.withdraw_bytes"},
+        Rejection{"BeaconBytesNegative", small_continuous,
+                  [](RunCapsule& r) { r.continuous.beacon_bytes = -1.0; },
+                  "continuous.beacon_bytes"},
+        Rejection{"OptionNotFinite", small_single_shot,
+                  [](RunCapsule& r) { r.options.header_bytes = kInf; },
+                  "options.header_bytes"},
+        Rejection{"ContinuousOptionNotFinite", small_continuous,
+                  [](RunCapsule& r) {
+                    r.continuous.gradient_refresh_deg = kNaN;
+                  },
+                  "continuous.gradient_refresh_deg"},
+        Rejection{"RadioRangeZero", small_single_shot,
+                  [](RunCapsule& r) { r.radio_range = 0.0; }, "radio_range"},
+        Rejection{"RadioRangeInfinite", small_single_shot,
+                  [](RunCapsule& r) { r.radio_range = kInf; }, "radio_range"},
+        Rejection{"RadioRangeTooFineForBounds", small_single_shot,
+                  [](RunCapsule& r) { r.radio_range = 1e-9; },
+                  "deployment.bounds"},
+        Rejection{"BoundsEmpty", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.deployment.bounds.x1 = r.deployment.bounds.x0;
+                  },
+                  "deployment.bounds"},
+        Rejection{"PositionNotFinite", small_single_shot,
+                  [](RunCapsule& r) { r.deployment.nodes[0].pos.x = kNaN; },
+                  "deployment.nodes[0].pos.x"},
+        Rejection{"DeadSink", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.deployment.nodes[static_cast<std::size_t>(r.sink)]
+                        .alive = false;
+                  },
+                  "sink"},
+        Rejection{"LinkLossAboveOne", small_single_shot,
+                  [](RunCapsule& r) { r.options.link_loss = 1.5; },
+                  "options.link_loss"},
+        Rejection{"BurstProbabilityAboveOne", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.link_burst = GilbertElliottParams{};
+                    r.options.link_burst->p_enter_burst = 1.5;
+                  },
+                  "options.link_burst.p_enter_burst"},
+        Rejection{"LinkRetriesNegative", small_single_shot,
+                  [](RunCapsule& r) { r.options.link_retries = -1; },
+                  "options.link_retries"},
+        Rejection{"BurstExitZero", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.link_burst = GilbertElliottParams{};
+                    r.options.link_burst->p_exit_burst = 0.0;
+                  },
+                  "options.link_burst.p_exit_burst"},
+        Rejection{"BurstLossGoodOne", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.link_burst = GilbertElliottParams{};
+                    r.options.link_burst->loss_good = 1.0;
+                  },
+                  "options.link_burst.loss_good"},
+        Rejection{"BurstLossBadAboveOne", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.link_burst = GilbertElliottParams{};
+                    r.options.link_burst->loss_bad = 1.5;
+                  },
+                  "options.link_burst.loss_bad"},
+        Rejection{"ImpairmentProbabilityAboveOne", impaired_single_shot,
+                  [](RunCapsule& r) { r.options.link_impair->dup_prob = 2.0; },
+                  "options.link_impair"},
+        Rejection{"ArqWindowZero", impaired_single_shot,
+                  [](RunCapsule& r) { r.options.link_arq.window = 0; },
+                  "options.link_arq"},
+        Rejection{"CrashWindowInverted", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.fault.crash_fraction = 0.1;
+                    r.options.fault.crash_window_begin = 0.9;
+                    r.options.fault.crash_window_end = 0.1;
+                  },
+                  "options.fault.crash_window_begin"},
+        Rejection{"BlackoutTimeAboveOne", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.fault.blackout = true;
+                    r.options.fault.blackout_time = 1.5;
+                  },
+                  "options.fault.blackout_time"},
+        Rejection{"BlackoutRadiusNegative", small_single_shot,
+                  [](RunCapsule& r) {
+                    r.options.fault.blackout = true;
+                    r.options.fault.blackout_radius = -1.0;
+                  },
+                  "options.fault.blackout_radius"}),
+    [](const testing::TestParamInfo<Rejection>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
 // Golden corpus: every committed capsule replays bit-identically.
+
+TEST(GoldenCorpus, ReencodingReproducesGoldenBytes) {
+  // The wire layout is pinned by the golden bytes themselves: decoding a
+  // golden and encoding it again reproduces every section. Schema-1
+  // goldens differ in exactly the two places schema 2 changed: the meta
+  // section's schema varint, and the three e2e latency doubles (zeros)
+  // appended to single_outputs.
+  constexpr std::uint64_t kMeta = 1;
+  constexpr std::uint64_t kSingleOutputs = 8;
+  const std::string dir = ISOMAP_GOLDEN_DIR;
+  const struct {
+    const char* name;
+    std::uint64_t schema;
+  } goldens[] = {{"single_small", 1},
+                 {"continuous_drift", 1},
+                 {"chaos_crash_burst", 1},
+                 {"band_edge_ulp", 1},
+                 {"impaired_arq", 2}};
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(g.name);
+    const std::string path = dir + "/" + g.name + ".capsule";
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    const Capsule file = Capsule::decode(bytes);
+    ASSERT_FALSE(file.sections.empty());
+    ASSERT_EQ(file.sections[0].tag, kMeta);
+    ASSERT_EQ(Reader(file.sections[0].payload).get_u64(), g.schema);
+
+    const Capsule again = to_capsule(load(path));
+    ASSERT_EQ(again.sections.size(), file.sections.size());
+    for (std::size_t i = 0; i < file.sections.size(); ++i) {
+      const Section& want = file.sections[i];
+      SCOPED_TRACE("section tag " + std::to_string(want.tag));
+      ASSERT_EQ(again.sections[i].tag, want.tag);
+      std::string expected = want.payload;
+      if (g.schema == 1 && want.tag == kMeta) expected[0] = '\x02';
+      if (g.schema == 1 && want.tag == kSingleOutputs)
+        expected.append(24, '\0');
+      EXPECT_EQ(again.sections[i].payload, expected);
+    }
+    if (g.schema == kRunSchemaVersion) {
+      EXPECT_EQ(again.encode(), bytes);
+    }
+  }
+}
 
 TEST(GoldenCorpus, AllGoldensReplayBitIdentically) {
   const std::string dir = ISOMAP_GOLDEN_DIR;

@@ -1,9 +1,10 @@
 // make_goldens: (re)generate the golden run-capsule corpus under
 // tests/golden/ — the fixed runs the CI golden-gate job replays on every
 // push (docs/REPLAY.md). Each capsule is produced deterministically from
-// hard-coded seeds, so regeneration on the same toolchain is a no-op;
-// regenerate ONLY when an intentional behaviour change invalidates the
-// stored outputs, and say so in the commit message.
+// hard-coded seeds. Regenerate ONLY the golden an intentional behaviour
+// change invalidates, and say so in the commit message: four committed
+// goldens are schema-1 files kept on purpose to pin backward-compatible
+// decoding, and this tool would rewrite them as schema 2.
 //
 // Usage: make_goldens [--out=tests/golden]
 //
