@@ -21,17 +21,44 @@ Vec2 GaussianBump::gradient(Vec2 p) const {
 
 GaussianField::GaussianField(FieldBounds bounds, double base, Vec2 trend,
                              std::vector<GaussianBump> bumps)
-    : bounds_(bounds), base_(base), trend_(trend), bumps_(std::move(bumps)) {}
+    : bounds_(bounds), base_(base), trend_(trend), bumps_(std::move(bumps)) {
+  kernels_.reserve(bumps_.size());
+  for (const GaussianBump& b : bumps_)
+    kernels_.push_back({b.center.x, b.center.y, std::cos(-b.rotation),
+                        std::sin(-b.rotation), std::cos(b.rotation),
+                        std::sin(b.rotation), b.sx, b.sy, b.amplitude});
+}
 
+// Both loops below inline GaussianBump::value/gradient term for term:
+// Vec2::rotated's x * c - y * s and x * s + y * c with the table's
+// cos/sin, then the same divisions and exp. Same operands, same order,
+// no reassociation — the results are the bump sums' bits.
 double GaussianField::value(Vec2 p) const {
   double v = base_ + trend_.dot(p);
-  for (const auto& bump : bumps_) v += bump.value(p);
+  for (const Kernel& k : kernels_) {
+    const double dx = p.x - k.cx;
+    const double dy = p.y - k.cy;
+    const double qx = (dx * k.cos_in - dy * k.sin_in) / k.sx;
+    const double qy = (dx * k.sin_in + dy * k.cos_in) / k.sy;
+    v += k.amplitude * std::exp(-0.5 * (qx * qx + qy * qy));
+  }
   return v;
 }
 
 Vec2 GaussianField::gradient(Vec2 p) const {
   Vec2 g = trend_;
-  for (const auto& bump : bumps_) g += bump.gradient(p);
+  for (const Kernel& k : kernels_) {
+    const double dx = p.x - k.cx;
+    const double dy = p.y - k.cy;
+    const double rx = dx * k.cos_in - dy * k.sin_in;
+    const double ry = dx * k.sin_in + dy * k.cos_in;
+    const double qx = rx / k.sx;
+    const double qy = ry / k.sy;
+    const double v = k.amplitude * std::exp(-0.5 * (qx * qx + qy * qy));
+    const double gx = -rx / (k.sx * k.sx) * v;
+    const double gy = -ry / (k.sy * k.sy) * v;
+    g += Vec2{gx * k.cos_out - gy * k.sin_out, gx * k.sin_out + gy * k.cos_out};
+  }
   return g;
 }
 

@@ -45,10 +45,21 @@ class GaussianField final : public ScalarField {
                               double amplitude, Rng& rng);
 
  private:
+  /// One bump with its trigonometry precomputed: value() and gradient()
+  /// evaluate GaussianBump's expressions on the same operands in the same
+  /// order, so every result is bit-identical to summing the bumps.
+  struct Kernel {
+    double cx, cy;            ///< Centre.
+    double cos_in, sin_in;    ///< cos/sin(-rotation): world -> bump frame.
+    double cos_out, sin_out;  ///< cos/sin(rotation): bump frame -> world.
+    double sx, sy, amplitude;
+  };
+
   FieldBounds bounds_;
   double base_;
   Vec2 trend_;
   std::vector<GaussianBump> bumps_;
+  std::vector<Kernel> kernels_;
 };
 
 }  // namespace isomap

@@ -10,8 +10,6 @@
 
 #include "exec/exec.hpp"
 #include "field/bathymetry.hpp"
-#include "field/blended_field.hpp"
-#include "field/gaussian_field.hpp"
 #include "isomap/continuous.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_summary.hpp"
@@ -29,22 +27,34 @@ double micros_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::shared_ptr<const ScalarField> make_drift_field(const DeploymentSpec& spec,
-                                                    const FieldBounds& bounds) {
-  if (spec.drift_per_round <= 0.0) return nullptr;
+/// The base field at every alive node, moved out of the freshly built
+/// scenario. A spec never sets reading noise, so the scenario's readings
+/// are exactly the field's samples (0.0 at dead nodes).
+std::vector<double> take_base_values(Scenario& sc) {
+  if (sc.config.reading_noise_std != 0.0)
+    throw std::logic_error(
+        "IsoMapService: noisy scenario readings are not field samples");
+  return std::move(sc.readings);
+}
+
+/// The drift target at every alive node of `sc`; empty for a frozen field.
+std::vector<double> sample_drift_target(const DeploymentSpec& spec,
+                                        const Scenario& sc) {
+  if (spec.drift_per_round <= 0.0) return {};
+  const FieldBounds bounds = sc.field.bounds();
   switch (spec.drift_target) {
     case FieldKind::kHarbor:
-      return std::make_shared<GaussianField>(harbor_bathymetry(bounds));
+      return sample_readings(harbor_bathymetry(bounds), sc.deployment);
     case FieldKind::kSilted:
-      return std::make_shared<GaussianField>(silted_harbor_bathymetry(bounds));
+      return sample_readings(silted_harbor_bathymetry(bounds), sc.deployment);
     case FieldKind::kMultiBasin:
-      return std::make_shared<GaussianField>(multi_basin_bathymetry(bounds));
+      return sample_readings(multi_basin_bathymetry(bounds), sc.deployment);
     case FieldKind::kSloped:
-      return std::make_shared<GaussianField>(sloped_seabed_bathymetry(bounds));
+      return sample_readings(sloped_seabed_bathymetry(bounds), sc.deployment);
     case FieldKind::kRandom:
       break;  // Rejected by the validator (no seeded drift targets).
   }
-  return nullptr;
+  return {};
 }
 
 ContinuousOptions make_continuous_options(const DeploymentSpec& spec,
@@ -63,16 +73,17 @@ ContinuousOptions make_continuous_options(const DeploymentSpec& spec,
 /// deployment/graph/tree, so a Shard is heap-pinned (unique_ptr in the
 /// service) and never relocated after construction. Two construction
 /// paths share the struct: a field-driven shard generated from a
-/// DeploymentSpec (readings sampled from a drifting field each tick) and
-/// a capsule-driven shard rebuilt from a recorded continuous run
-/// (readings scripted from the capsule's stored rounds).
+/// DeploymentSpec (readings blended each tick from per-node samples of
+/// its base and drift-target fields, taken once here) and a
+/// capsule-driven shard rebuilt from a recorded continuous run (readings
+/// scripted from the capsule's stored rounds).
 struct IsoMapService::Shard {
   std::string name;
   ScenarioConfig config;      ///< Provenance for capsule export.
   double radio_range = 0.0;
   double drift_per_round = 0.0;
-  std::shared_ptr<const ScalarField> base_field;   ///< Null = scripted.
-  std::shared_ptr<const ScalarField> drift_field;  ///< Null = frozen field.
+  std::vector<double> base_values;   ///< Base field per node; empty = scripted.
+  std::vector<double> drift_values;  ///< Drift target per node; empty = frozen.
   ContinuousOptions options;
   std::vector<double> isolevels;
   Deployment deployment;
@@ -82,7 +93,7 @@ struct IsoMapService::Shard {
   Ledger ledger;
   obs::MetricsRegistry metrics;
   std::optional<RoundResult> last;    ///< Set by every tick().
-  std::vector<double> readings;       ///< Per-round sampling scratch.
+  std::vector<double> blended;        ///< Per-round blending scratch.
   std::vector<std::vector<double>> scripted;  ///< Capsule-driven rounds.
   std::vector<std::vector<double>> recorded_rounds;  ///< Capsule export.
 
@@ -90,18 +101,18 @@ struct IsoMapService::Shard {
       : Shard(s, make_scenario(s.to_config())) {}
 
   /// Field-driven shard. Takes the freshly built Scenario by value and
-  /// moves its deployment/graph/tree into place (both are value types
+  /// moves its readings/deployment/graph/tree into place (all value types
   /// with no back-references; the mapper binds to the members, never to
-  /// the moved-from temporaries). `options` is initialized before the
-  /// moves — declaration order guarantees it still sees the intact
-  /// scenario.
+  /// the moved-from temporaries). The drift samples and `options` are
+  /// initialized before the moves — declaration order guarantees they
+  /// still see the intact scenario.
   Shard(const DeploymentSpec& s, Scenario&& sc)
       : name(s.name),
         config(sc.config),
         radio_range(sc.config.effective_radio_range()),
         drift_per_round(s.drift_per_round),
-        base_field(sc.field_storage),
-        drift_field(make_drift_field(s, sc.field.bounds())),
+        base_values(take_base_values(sc)),
+        drift_values(sample_drift_target(s, sc)),
         options(make_continuous_options(s, sc)),
         isolevels(options.base.query.isolevels()),
         deployment(std::move(sc.deployment)),
@@ -125,34 +136,27 @@ struct IsoMapService::Shard {
         ledger(deployment.size()),
         scripted(c.rounds) {}
 
-  /// Sample this shard's readings for round `round_index` (1-based). A
-  /// scripted shard replays its capsule's recorded rounds (clamped to
-  /// the last one). A field-driven shard's drift alpha follows a
-  /// triangular ping-pong schedule so arbitrarily long soaks keep
-  /// producing reading deltas instead of saturating at the drift target.
-  void sample_readings(int round_index) {
-    if (!scripted.empty()) {
-      const std::size_t r =
-          std::min(static_cast<std::size_t>(round_index - 1),
-                   scripted.size() - 1);
-      readings = scripted[r];
-      return;
-    }
-    readings.assign(static_cast<std::size_t>(deployment.size()), 0.0);
+  /// This shard's readings for round `round_index` (1-based), valid until
+  /// the next call. A scripted shard replays its capsule's recorded
+  /// rounds (clamped to the last one). A field-driven shard's drift alpha
+  /// follows a triangular ping-pong schedule so arbitrarily long soaks
+  /// keep producing reading deltas instead of saturating at the drift
+  /// target; each node's reading is BlendedField::value's expression over
+  /// its two cached samples, so the bits are those of evaluating the
+  /// blend at the node.
+  const std::vector<double>& readings(int round_index) {
+    if (!scripted.empty())
+      return scripted[std::min(static_cast<std::size_t>(round_index - 1),
+                               scripted.size() - 1)];
     const double phase =
         drift_per_round * static_cast<double>(round_index - 1);
     const double m = std::fmod(phase, 2.0);
     const double alpha = 1.0 - std::abs(1.0 - m);
-    const ScalarField* field = base_field.get();
-    std::optional<BlendedField> blended;
-    if (drift_field != nullptr && alpha > 0.0) {
-      blended.emplace(*base_field, *drift_field, alpha);
-      field = &*blended;
-    }
-    for (const auto& node : deployment.nodes()) {
-      if (!node.alive) continue;
-      readings[static_cast<std::size_t>(node.id)] = field->value(node.pos);
-    }
+    if (drift_values.empty() || alpha <= 0.0) return base_values;
+    blended.resize(base_values.size());
+    for (std::size_t i = 0; i < blended.size(); ++i)
+      blended[i] = (1.0 - alpha) * base_values[i] + alpha * drift_values[i];
+    return blended;
   }
 };
 
@@ -211,10 +215,10 @@ void IsoMapService::tick() {
     const obs::ObsScope scope(&s.metrics, nullptr);
     obs::PhaseTimer timer(obs::kPhaseTick);
     obs::count("serve.rounds");
-    s.sample_readings(round);
+    const std::vector<double>& readings = s.readings(round);
     if (static_cast<int>(s.recorded_rounds.size()) < kCapsuleRoundsCap)
-      s.recorded_rounds.push_back(s.readings);
-    s.last.emplace(s.mapper.round(s.readings, s.ledger));
+      s.recorded_rounds.push_back(readings);
+    s.last.emplace(s.mapper.round(readings, s.ledger));
   });
 }
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/exec.hpp"
+
 namespace isomap {
 
 double ScenarioConfig::effective_radio_range() const {
@@ -78,14 +80,15 @@ Scenario make_scenario_with_field(ScenarioConfig config,
   if (sink < 0) throw std::runtime_error("make_scenario: no alive nodes");
   RoutingTree tree(graph, sink);
 
-  std::vector<double> readings(static_cast<std::size_t>(deployment.size()),
-                               0.0);
-  for (const auto& node : deployment.nodes()) {
-    if (!node.alive) continue;
-    double v = field.value(node.pos);
-    if (config.reading_noise_std > 0.0)
-      v += noise_rng.normal(0.0, config.reading_noise_std);
-    readings[static_cast<std::size_t>(node.id)] = v;
+  // Noise draws follow the parallel sampling serially, in node-id order,
+  // so the RNG stream is unchanged.
+  std::vector<double> readings = sample_readings(field, deployment);
+  if (config.reading_noise_std > 0.0) {
+    for (const auto& node : deployment.nodes()) {
+      if (!node.alive) continue;
+      readings[static_cast<std::size_t>(node.id)] +=
+          noise_rng.normal(0.0, config.reading_noise_std);
+    }
   }
 
   return Scenario{config,
@@ -95,6 +98,16 @@ Scenario make_scenario_with_field(ScenarioConfig config,
                   std::move(graph),
                   std::move(tree),
                   std::move(readings)};
+}
+
+std::vector<double> sample_readings(const ScalarField& field,
+                                    const Deployment& deployment) {
+  const std::vector<Node>& nodes = deployment.nodes();
+  std::vector<double> readings(nodes.size(), 0.0);
+  exec::parallel_for(nodes.size(), [&](std::size_t i) {
+    if (nodes[i].alive) readings[i] = field.value(nodes[i].pos);
+  });
+  return readings;
 }
 
 ContourQuery scaling_query() {

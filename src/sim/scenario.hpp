@@ -75,6 +75,13 @@ Scenario make_scenario(const ScenarioConfig& config);
 Scenario make_scenario_with_field(ScenarioConfig config,
                                   std::shared_ptr<const ScalarField> field);
 
+/// The field at every alive node's true position, 0.0 at dead nodes,
+/// indexed by node id. Each sample is a pure function of its node, so
+/// they are taken across the exec pool; the result is the serial loop's
+/// at any thread count.
+std::vector<double> sample_readings(const ScalarField& field,
+                                    const Deployment& deployment);
+
 /// A query spanning the field's value range with `num_levels` isolevels,
 /// paper-default parameters (epsilon = 0.05 T, s_a = 30 deg, s_d = 4).
 ContourQuery default_query(const ScalarField& field, int num_levels = 4);

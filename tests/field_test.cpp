@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "field/bathymetry.hpp"
 #include "field/gaussian_field.hpp"
@@ -73,6 +78,82 @@ TEST(GaussianField, ValueRangeBracketsSamples) {
     const double v = field.value({rng.uniform(0, 10), rng.uniform(0, 10)});
     EXPECT_GE(v, lo - 0.2);
     EXPECT_LE(v, hi + 0.2);
+  }
+}
+
+// GaussianField evaluates its bumps from a precomputed trig table. The
+// contract is bit identity with the plain sum of the per-bump functions,
+// which stay as the oracle.
+
+double oracle_value(const GaussianField& field, Vec2 p) {
+  double v = field.base() + field.trend().dot(p);
+  for (const GaussianBump& bump : field.bumps()) v += bump.value(p);
+  return v;
+}
+
+Vec2 oracle_gradient(const GaussianField& field, Vec2 p) {
+  Vec2 g = field.trend();
+  for (const GaussianBump& bump : field.bumps()) g += bump.gradient(p);
+  return g;
+}
+
+/// ScalarField::value_range's 201 x 201 scan over the oracle values.
+std::pair<double, double> oracle_range(const GaussianField& field) {
+  const int res = 200;
+  const FieldBounds b = field.bounds();
+  double lo = oracle_value(field, {b.x0, b.y0});
+  double hi = lo;
+  for (int iy = 0; iy <= res; ++iy) {
+    for (int ix = 0; ix <= res; ++ix) {
+      const double v = oracle_value(field, {b.x0 + b.width() * ix / res,
+                                            b.y0 + b.height() * iy / res});
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+  }
+  return {lo, hi};
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+std::vector<GaussianField> oracle_fields() {
+  std::vector<GaussianField> fields = {
+      harbor_bathymetry(), silted_harbor_bathymetry(),
+      multi_basin_bathymetry(),
+      sloped_seabed_bathymetry({0.0, 0.0, 1000.0, 1000.0}),
+      // Rotations 0, pi/2 and negative, on both axis scales.
+      GaussianField({-5, -5, 5, 5}, 1.5, {0.2, -0.1},
+                    {{{1, 2}, 2.0, 1.5, 0.5, 0.0},
+                     {{-2, 1}, -1.0, 0.8, 2.0, M_PI / 2},
+                     {{0, -3}, 3.0, 2.5, 1.0, -0.7},
+                     {{3, 3}, 0.5, 1.0, 1.0, -M_PI}})};
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    fields.push_back(GaussianField::random({0, 0, 50, 50}, 8, 4.0, rng));
+  }
+  return fields;
+}
+
+TEST(GaussianField, BumpTableMatchesBumpSumBitForBit) {
+  Rng rng(11);
+  for (const GaussianField& field : oracle_fields()) {
+    const FieldBounds b = field.bounds();
+    // Points over the bounds plus a margin of half the extent each side.
+    for (int i = 0; i < 400; ++i) {
+      const Vec2 p{rng.uniform(b.x0 - 0.5 * b.width(), b.x1 + 0.5 * b.width()),
+                   rng.uniform(b.y0 - 0.5 * b.height(),
+                               b.y1 + 0.5 * b.height())};
+      ASSERT_EQ(bits(field.value(p)), bits(oracle_value(field, p)))
+          << "value at (" << p.x << ", " << p.y << ")";
+      const Vec2 g = field.gradient(p);
+      const Vec2 want = oracle_gradient(field, p);
+      ASSERT_EQ(bits(g.x), bits(want.x)) << "gradient.x";
+      ASSERT_EQ(bits(g.y), bits(want.y)) << "gradient.y";
+    }
+    const auto [lo, hi] = field.value_range(200);
+    const auto [want_lo, want_hi] = oracle_range(field);
+    EXPECT_EQ(bits(lo), bits(want_lo));
+    EXPECT_EQ(bits(hi), bits(want_hi));
   }
 }
 

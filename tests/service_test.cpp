@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -14,6 +16,8 @@
 #include <vector>
 
 #include "exec/exec.hpp"
+#include "field/bathymetry.hpp"
+#include "field/blended_field.hpp"
 #include "serve/scenario.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
@@ -382,6 +386,78 @@ TEST(IsoMapServiceTest, ShardCapsuleExportReplaysBitForBit) {
   const auto diff = capsule::diff_outputs(stored, fresh);
   EXPECT_FALSE(diff.has_value())
       << diff->where << ": " << diff->detail;
+}
+
+/// The synthetic preset a DeploymentSpec names, over its bounds.
+GaussianField preset_field(FieldKind kind, double side) {
+  const FieldBounds bounds{0.0, 0.0, side, side};
+  switch (kind) {
+    case FieldKind::kHarbor:
+      return harbor_bathymetry(bounds);
+    case FieldKind::kSilted:
+      return silted_harbor_bathymetry(bounds);
+    case FieldKind::kMultiBasin:
+      return multi_basin_bathymetry(bounds);
+    case FieldKind::kSloped:
+      return sloped_seabed_bathymetry(bounds);
+    case FieldKind::kRandom:
+      break;
+  }
+  throw std::invalid_argument("preset_field: no preset");
+}
+
+/// Field-driven shards sample their fields once and blend the cached
+/// per-node samples each tick. Every exported round must equal a fresh
+/// evaluation of the base field (alpha 0) or of the BlendedField at each
+/// alive node, bit for bit, with dead nodes reading exactly 0.0. The
+/// oracle lane rebuilds maps from the shard's own readings, so it is off
+/// here: this check is the only one that sees the readings themselves.
+TEST(IsoMapServiceTest, TickReadingsEqualFieldEvaluationBitForBit) {
+  ServiceScenario sc = small_scenario();
+  sc.oracle_check_every = 0;
+  sc.deployments[0].drift_per_round = 0.0;  // Frozen harbor.
+  sc.deployments[1].drift_per_round = 0.25;
+  sc.deployments[1].failure_fraction = 0.2;
+  // Ping-pong alpha for rounds 1..10 at 0.25 per round: 1 exactly at
+  // round 5, back to 0 at round 9.
+  const std::vector<double> drift_alpha = {0.0, 0.25, 0.5, 0.75, 1.0,
+                                           0.75, 0.5, 0.25, 0.0, 0.25};
+  IsoMapService service(sc);
+  for (std::size_t r = 0; r < drift_alpha.size(); ++r) service.tick();
+
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (int shard = 0; shard < service.shard_count(); ++shard) {
+    const DeploymentSpec& spec =
+        sc.deployments[static_cast<std::size_t>(shard)];
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("serve_readings_" + spec.name + ".capsule"))
+            .string();
+    ASSERT_TRUE(service.save_shard_capsule(shard, path));
+    const capsule::RunCapsule stored = capsule::load(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(stored.rounds.size(), drift_alpha.size());
+
+    const GaussianField base = preset_field(spec.field, spec.field_side);
+    const GaussianField target =
+        preset_field(spec.drift_target, spec.field_side);
+    const auto& nodes = stored.deployment.nodes;
+    int dead = 0;
+    for (std::size_t r = 0; r < stored.rounds.size(); ++r) {
+      const double alpha = spec.drift_per_round > 0.0 ? drift_alpha[r] : 0.0;
+      const BlendedField blended(base, target, alpha);
+      const ScalarField& field =
+          alpha > 0.0 ? static_cast<const ScalarField&>(blended) : base;
+      ASSERT_EQ(stored.rounds[r].size(), nodes.size());
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const double want = nodes[i].alive ? field.value(nodes[i].pos) : 0.0;
+        dead += nodes[i].alive ? 0 : 1;
+        ASSERT_EQ(bits(stored.rounds[r][i]), bits(want))
+            << spec.name << " round " << r + 1 << " node " << i;
+      }
+    }
+    EXPECT_EQ(dead > 0, spec.failure_fraction > 0.0) << spec.name;
+  }
 }
 
 TEST(IsoMapServiceTest, AttachCapsuleShardRejectsBadInputs) {

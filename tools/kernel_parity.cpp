@@ -1,6 +1,7 @@
 // Vectorization-parity probe: runs every batch kernel that carries a
 // bit-identity contract (fused plane-fit stats, batched point-in-region
-// classification, marching squares) on seeded inputs and prints the raw
+// classification, marching squares, the Gaussian bump table) on seeded
+// inputs and prints the raw
 // IEEE-754 bit patterns of the outputs as hex. CI builds this tool twice
 // — once with -ftree-vectorize, once with -fno-tree-vectorize — and
 // diffs the two stdouts: any difference means the "vectorize across
@@ -19,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "field/bathymetry.hpp"
 #include "geometry/marching_squares.hpp"
 #include "isomap/regression.hpp"
 #include "sim/runners.hpp"
@@ -166,6 +168,30 @@ void marching_parity() {
               static_cast<unsigned long long>(fp.h));
 }
 
+void gaussian_value_parity() {
+  // Oracle: base + trend . p + the sum of GaussianBump::value. The field's
+  // precomputed bump table must reproduce it bit for bit, inside and
+  // around the bounds.
+  Fnv fp;
+  for (const GaussianField& field :
+       {harbor_bathymetry(),
+        sloped_seabed_bathymetry({0.0, 0.0, 1000.0, 1000.0})}) {
+    std::uint64_t rng = 0x6A055ULL;
+    const FieldBounds b = field.bounds();
+    for (int i = 0; i < 4096; ++i) {
+      const Vec2 p{b.x0 + (uniform01(rng) * 1.5 - 0.25) * b.width(),
+                   b.y0 + (uniform01(rng) * 1.5 - 0.25) * b.height()};
+      double want = field.base() + field.trend().dot(p);
+      for (const GaussianBump& bump : field.bumps()) want += bump.value(p);
+      const double v = field.value(p);
+      report("gaussian_value", "value", bits(v) == bits(want));
+      fp.add(v);
+    }
+  }
+  std::printf("gaussian_value      %016llx\n",
+              static_cast<unsigned long long>(fp.h));
+}
+
 }  // namespace
 }  // namespace isomap
 
@@ -173,6 +199,7 @@ int main() {
   isomap::fit_parity();
   isomap::region_parity();
   isomap::marching_parity();
+  isomap::gaussian_value_parity();
   if (!isomap::g_ok) return 1;
   std::printf("kernel_parity: all batch kernels match their oracles\n");
   return 0;

@@ -37,19 +37,6 @@ using namespace isomap;
 
 namespace {
 
-/// Per-node readings for one round: sample `field` at each alive node's
-/// physical position (dead nodes read 0.0), exactly as the continuous
-/// mapper's field-driven round does.
-std::vector<double> sense(const Scenario& scenario,
-                          const ScalarField& field) {
-  std::vector<double> readings(
-      static_cast<std::size_t>(scenario.deployment.size()), 0.0);
-  for (const auto& node : scenario.deployment.nodes())
-    if (node.alive)
-      readings[static_cast<std::size_t>(node.id)] = field.value(node.pos);
-  return readings;
-}
-
 bool emit(const std::filesystem::path& dir, const std::string& name,
           const capsule::RunCapsule& run) {
   const std::filesystem::path path = dir / (name + ".capsule");
@@ -94,7 +81,7 @@ capsule::RunCapsule golden_continuous_drift() {
   for (int r = 0; r < kRounds; ++r) {
     const double alpha = static_cast<double>(r) / (kRounds - 1);
     const BlendedField field(scenario.field, silted, alpha);
-    rounds.push_back(sense(scenario, field));
+    rounds.push_back(sample_readings(field, scenario.deployment));
   }
   return capsule::record_continuous(
       scenario, options, std::move(rounds),
@@ -141,7 +128,8 @@ capsule::RunCapsule golden_band_edge_ulp() {
   const std::vector<double> levels = query.isolevels();
   const double eps = query.epsilon();
   std::vector<std::vector<double>> rounds;
-  std::vector<double> readings = sense(scenario, scenario.field);
+  std::vector<double> readings =
+      sample_readings(scenario.field, scenario.deployment);
   rounds.push_back(readings);
   const int n = scenario.deployment.size();
   for (int r = 1; r < 6; ++r) {
