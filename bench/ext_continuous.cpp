@@ -165,12 +165,6 @@ int main(int argc, char** argv) {
   Table engines({"delta_pct", "changed_pct", "dirty_pct", "rebuilt_mean",
                  "oracle_ms", "incr_ms", "speedup"});
 
-  const auto median_of = [](std::vector<double> v) {
-    const std::size_t mid = v.size() / 2;
-    std::nth_element(v.begin(), v.begin() + static_cast<long>(mid), v.end());
-    return v[mid];
-  };
-
   for (const double fraction : {0.01, 0.05, 0.10, 0.25, 1.0}) {
     // The per-round changed set is the union of the disk and its previous
     // position, so the swept strip counts toward the fraction too: solve
@@ -199,8 +193,7 @@ int main(int argc, char** argv) {
 
         std::vector<double> prev(
             static_cast<std::size_t>(s.deployment.size()), 0.0);
-        std::vector<double> samples;
-        samples.reserve(static_cast<std::size_t>(cost_rounds));
+        SampleSet samples;
         for (int round = 0; round <= cost_rounds; ++round) {
           const double theta = step * round;
           bump.set_center({side * (0.5 + 0.22 * std::cos(theta)),
@@ -226,13 +219,13 @@ int main(int argc, char** argv) {
             if (round > 0) changed_mean += changed;
           }
           if (round == 0) continue;  // Priming round: both engines cold.
-          samples.push_back(ms);
+          samples.add(ms);
           if (ei == 1 && rep == 0) {
             dirty_mean += metrics.counter("continuous.dirty_nodes");
             rebuilt_mean += metrics.counter("continuous.levels_rebuilt");
           }
         }
-        engine_ms[ei] = std::min(engine_ms[ei], median_of(std::move(samples)));
+        engine_ms[ei] = std::min(engine_ms[ei], samples.median());
       }
       if (checksum[0] != checksum[1]) {
         std::cerr << "[ext_continuous] engine outputs diverged at fraction "

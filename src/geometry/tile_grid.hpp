@@ -18,18 +18,19 @@ struct TileLayout {
   double tw = 1.0, th = 1.0;  ///< Tile width / height.
   int cols = 1, rows = 1;
 
-  /// Column of x, clamped into [0, cols). Matches the int-cast semantics
+  /// Column of x, clamped into [0, cols) in double before the int cast,
+  /// so no finite x overflows it. In range this is the int-cast mapping
   /// the pre-tiled structures used, so bucketing is bit-compatible.
-  int col_of(double x) const {
-    const int c = static_cast<int>((x - x0) / tw);
-    return c < 0 ? 0 : (c >= cols ? cols - 1 : c);
-  }
-  int row_of(double y) const {
-    const int r = static_cast<int>((y - y0) / th);
-    return r < 0 ? 0 : (r >= rows ? rows - 1 : r);
-  }
+  int col_of(double x) const { return clamp_cell((x - x0) / tw, cols); }
+  int row_of(double y) const { return clamp_cell((y - y0) / th, rows); }
   int tile_count() const { return cols * rows; }
   int tile_index(int col, int row) const { return row * cols + col; }
+
+ private:
+  /// The truncating int cast of q, clamped into [0, n) (NaN -> n - 1).
+  static int clamp_cell(double q, int n) {
+    return q < 1.0 ? 0 : (q < n ? static_cast<int>(q) : n - 1);
+  }
 };
 
 /// 1-D tile partition of a flat index range [0, n): the analogue of this

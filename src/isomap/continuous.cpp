@@ -206,7 +206,7 @@ void ContinuousMapper::replay_fit_metrics(std::size_t num_samples) {
     obs_slots_.samples = &m->histogram_slot("regression.samples");
   }
   *obs_slots_.fits += 1.0;
-  obs_slots_.samples->record(static_cast<double>(num_samples));
+  obs_slots_.samples->add(static_cast<double>(num_samples));
 }
 
 void ContinuousMapper::replay_degenerate_metric() {

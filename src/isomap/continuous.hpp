@@ -296,7 +296,7 @@ class ContinuousMapper {
   /// created them.
   struct RegressionObsSlots {
     double* fits = nullptr;
-    obs::Histogram* samples = nullptr;
+    SampleSet* samples = nullptr;
     double* degenerate = nullptr;
   };
   RegressionObsSlots obs_slots_;

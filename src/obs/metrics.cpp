@@ -1,8 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace isomap::obs {
 
 JsonValue HistogramSnapshot::to_json() const {
@@ -17,24 +14,23 @@ JsonValue HistogramSnapshot::to_json() const {
   return v;
 }
 
-HistogramSnapshot summarize_samples(std::vector<double> samples) {
+HistogramSnapshot HistogramSnapshot::of(const SampleSet& set) {
   HistogramSnapshot s;
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  s.count = samples.size();
-  s.min = samples.front();
-  s.max = samples.back();
-  for (double x : samples) s.sum += x;
+  if (set.empty()) return s;
+  const std::vector<double> sorted = set.sorted();
+  s.count = set.count();
+  if (s.count <= SampleSet::kCapacity) {
+    s.min = sorted.front();
+    s.max = sorted.back();
+    for (double x : sorted) s.sum += x;
+  } else {
+    s.min = set.min();
+    s.max = set.max();
+    s.sum = set.sum();
+  }
   s.mean = s.sum / static_cast<double>(s.count);
-  const auto quantile = [&](double q) {
-    const double idx = q * static_cast<double>(s.count - 1);
-    const auto lo = static_cast<std::size_t>(idx);
-    const auto hi = std::min(lo + 1, s.count - 1);
-    const double frac = idx - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-  };
-  s.p50 = quantile(0.50);
-  s.p95 = quantile(0.95);
+  s.p50 = SampleSet::quantile_of_sorted(sorted, 0.50);
+  s.p95 = SampleSet::quantile_of_sorted(sorted, 0.95);
   return s;
 }
 
@@ -48,32 +44,17 @@ double MetricsRegistry::gauge(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-HistogramSnapshot Histogram::snapshot() const {
-  // Within capacity the reservoir IS the full sample set: delegate to
-  // the historical retain-all path so every field (including the
-  // sorted-order sum) is bit-identical to what it always was.
-  HistogramSnapshot s = summarize_samples(samples_);
-  if (count_ <= kReservoirCapacity) return s;
-  // Beyond capacity: count/min/max/sum come from the exact running
-  // accumulators; the quantiles are reservoir estimates.
-  s.count = count_;
-  s.min = min_;
-  s.max = max_;
-  s.sum = sum_;
-  s.mean = sum_ / static_cast<double>(count_);
-  return s;
-}
-
 HistogramSnapshot MetricsRegistry::histogram(const std::string& name) const {
   const auto it = histograms_.find(name);
   if (it == histograms_.end()) return {};
-  return it->second.snapshot();
+  return HistogramSnapshot::of(it->second);
 }
 
 std::map<std::string, HistogramSnapshot> MetricsRegistry::histogram_snapshots()
     const {
   std::map<std::string, HistogramSnapshot> out;
-  for (const auto& [name, hist] : histograms_) out[name] = hist.snapshot();
+  for (const auto& [name, set] : histograms_)
+    out[name] = HistogramSnapshot::of(set);
   return out;
 }
 
@@ -93,8 +74,8 @@ JsonValue MetricsRegistry::to_json() const {
   for (const auto& [name, value] : gauges_) gauges[name] = JsonValue(value);
   JsonValue& hists = v["histograms"];
   hists = JsonValue::object();
-  for (const auto& [name, hist] : histograms_)
-    hists[name] = hist.snapshot().to_json();
+  for (const auto& [name, set] : histograms_)
+    hists[name] = HistogramSnapshot::of(set).to_json();
   return v;
 }
 

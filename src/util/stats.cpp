@@ -43,25 +43,22 @@ void RunningStats::merge(const RunningStats& other) {
   n_ += other.n_;
 }
 
-double SampleSet::mean() const {
-  if (xs_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs_) s += x;
-  return s / static_cast<double>(xs_.size());
+std::vector<double> SampleSet::sorted() const {
+  std::vector<double> out = xs_;
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-double SampleSet::quantile(double q) const {
-  if (xs_.empty()) throw std::logic_error("SampleSet::quantile on empty set");
-  if (!sorted_) {
-    std::sort(xs_.begin(), xs_.end());
-    sorted_ = true;
-  }
+double SampleSet::quantile_of_sorted(const std::vector<double>& sorted,
+                                     double q) {
+  if (sorted.empty())
+    throw std::logic_error("SampleSet::quantile on empty set");
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(xs_.size() - 1);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs_[lo] * (1.0 - frac) + xs_[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace isomap

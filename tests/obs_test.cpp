@@ -37,14 +37,14 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
 }
 
 TEST(MetricsRegistry, SummarizePercentiles) {
-  std::vector<double> samples;
-  for (int i = 1; i <= 100; ++i) samples.push_back(i);
-  const HistogramSnapshot h = summarize_samples(samples);
+  SampleSet samples;
+  for (int i = 1; i <= 100; ++i) samples.add(i);
+  const HistogramSnapshot h = HistogramSnapshot::of(samples);
   EXPECT_EQ(h.count, 100u);
   EXPECT_NEAR(h.p50, 50.0, 1.0);
   EXPECT_NEAR(h.p95, 95.0, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
-  const HistogramSnapshot none = summarize_samples({});
+  const HistogramSnapshot none = HistogramSnapshot::of(SampleSet{});
   EXPECT_EQ(none.count, 0u);
 }
 

@@ -335,6 +335,32 @@ TEST(IsoMapServiceTest, FifoEvictionBoundsCacheSize) {
   }
 }
 
+TEST(IsoMapServiceTest, LatencyLanesStayConsistentPastReservoirCapacity) {
+  // Each tick serves its mix 200 times over, twice: the first pass is
+  // all misses (keys are new this round), the second all hits, so both
+  // lanes and the all-queries lane run past the sample set's capacity.
+  IsoMapService service(small_scenario(0.1));
+  for (int round = 0; round < 3; ++round) {
+    service.tick();
+    std::vector<QueryRequest> batch;
+    const std::vector<QueryRequest> mix = service.mix_for_tick();
+    for (int rep = 0; rep < 200; ++rep)
+      batch.insert(batch.end(), mix.begin(), mix.end());
+    service.serve_batch(batch);
+    service.serve_batch(batch);
+  }
+  const auto queries = static_cast<std::size_t>(service.stats().queries);
+  ASSERT_GT(queries, 3 * SampleSet::kCapacity);
+  EXPECT_EQ(service.latency_all().count(), queries);
+  EXPECT_EQ(service.latency_hits().count() + service.latency_misses().count(),
+            queries);
+  EXPECT_GT(service.latency_hits().count(), SampleSet::kCapacity);
+  EXPECT_GT(service.latency_misses().count(), SampleSet::kCapacity);
+  JsonValue summary = service.service_summary(0.0);
+  JsonValue& latency = summary["latency"];
+  EXPECT_LE(latency["p50_us"].as_number(), latency["p99_us"].as_number());
+}
+
 TEST(IsoMapServiceTest, MixForTickIsDeterministicPerRound) {
   IsoMapService service(small_scenario());
   service.tick();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -18,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "sim/runners.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace isomap {
 namespace {
@@ -188,16 +190,32 @@ TEST(SpanTrace, ReportPathsReconstructFromTraceEvents) {
 
 // --- Reservoir histogram contracts. -----------------------------------
 
-TEST(ReservoirHistogram, WithinCapacityMatchesRetainAllBitwise) {
-  obs::Histogram h;
-  std::vector<double> samples;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = std::sin(static_cast<double>(i)) * 1e3;
-    h.record(v);
-    samples.push_back(v);
-  }
-  const obs::HistogramSnapshot a = h.snapshot();
-  const obs::HistogramSnapshot b = obs::summarize_samples(samples);
+// Sort-and-interpolate oracle: the retain-all summary every snapshot
+// reproduced before sample sets were bounded, and which the golden
+// capsules pin (sum accumulated over the *sorted* samples).
+obs::HistogramSnapshot summarize_samples(std::vector<double> samples) {
+  obs::HistogramSnapshot s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  s.count = samples.size();
+  s.min = samples.front();
+  s.max = samples.back();
+  for (double x : samples) s.sum += x;
+  s.mean = s.sum / static_cast<double>(s.count);
+  const auto quantile = [&](double q) {
+    const double idx = q * static_cast<double>(s.count - 1);
+    const auto lo = static_cast<std::size_t>(idx);
+    const auto hi = std::min(lo + 1, s.count - 1);
+    const double frac = idx - static_cast<double>(lo);
+    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  };
+  s.p50 = quantile(0.50);
+  s.p95 = quantile(0.95);
+  return s;
+}
+
+void expect_bitwise_equal(const obs::HistogramSnapshot& a,
+                          const obs::HistogramSnapshot& b) {
   EXPECT_EQ(a.count, b.count);
   EXPECT_EQ(a.min, b.min);
   EXPECT_EQ(a.max, b.max);
@@ -207,19 +225,50 @@ TEST(ReservoirHistogram, WithinCapacityMatchesRetainAllBitwise) {
   EXPECT_EQ(a.p95, b.p95);
 }
 
+TEST(ReservoirHistogram, WithinCapacityMatchesRetainAllBitwise) {
+  SampleSet h;
+  std::vector<double> samples;
+  for (int i = 0; i < 1000; ++i) {
+    const double v = std::sin(static_cast<double>(i)) * 1e3;
+    h.add(v);
+    samples.push_back(v);
+  }
+  expect_bitwise_equal(obs::HistogramSnapshot::of(h),
+                       summarize_samples(samples));
+  EXPECT_EQ(h.quantile(0.95), summarize_samples(samples).p95);
+}
+
+TEST(ReservoirHistogram, ExactUpToCapacityInclusive) {
+  SampleSet h;
+  std::vector<double> samples;
+  for (std::size_t i = 0; i < SampleSet::kCapacity; ++i) {
+    const double v = std::cos(static_cast<double>(i)) * 1e-3;
+    h.add(v);
+    samples.push_back(v);
+  }
+  expect_bitwise_equal(obs::HistogramSnapshot::of(h),
+                       summarize_samples(samples));
+  // One more sample leaves the exact regime: the reservoir stays full.
+  h.add(2.0);
+  EXPECT_EQ(h.count(), SampleSet::kCapacity + 1);
+  EXPECT_EQ(h.sorted().size(), SampleSet::kCapacity);
+  EXPECT_EQ(obs::HistogramSnapshot::of(h).max, 2.0);
+}
+
 TEST(ReservoirHistogram, BeyondCapacityStaysExactWhereItPromises) {
   constexpr std::size_t kTotal = 100000;  // 24x the reservoir.
-  obs::Histogram h;
+  SampleSet h;
   double sum = 0.0;
   for (std::size_t i = 0; i < kTotal; ++i) {
     const double v = static_cast<double>(i % 997);
     sum += v;
-    h.record(v);
+    h.add(v);
   }
-  const obs::HistogramSnapshot snap = h.snapshot();
+  const obs::HistogramSnapshot snap = obs::HistogramSnapshot::of(h);
   // count/min/max/sum come from running accumulators — exact regardless
-  // of what the reservoir kept.
+  // of what the reservoir kept — and the reservoir itself stays bounded.
   EXPECT_EQ(snap.count, kTotal);
+  EXPECT_EQ(h.sorted().size(), SampleSet::kCapacity);
   EXPECT_DOUBLE_EQ(snap.min, 0.0);
   EXPECT_DOUBLE_EQ(snap.max, 996.0);
   EXPECT_DOUBLE_EQ(snap.sum, sum);
@@ -230,10 +279,10 @@ TEST(ReservoirHistogram, BeyondCapacityStaysExactWhereItPromises) {
 
   // The fixed-seed reservoir is deterministic: an identical stream gives
   // an identical snapshot, bit for bit.
-  obs::Histogram again;
+  SampleSet again;
   for (std::size_t i = 0; i < kTotal; ++i)
-    again.record(static_cast<double>(i % 997));
-  const obs::HistogramSnapshot replay = again.snapshot();
+    again.add(static_cast<double>(i % 997));
+  const obs::HistogramSnapshot replay = obs::HistogramSnapshot::of(again);
   EXPECT_EQ(snap.p50, replay.p50);
   EXPECT_EQ(snap.p95, replay.p95);
   EXPECT_EQ(snap.sum, replay.sum);

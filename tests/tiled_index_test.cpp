@@ -15,6 +15,8 @@
 #include "geometry/voronoi.hpp"
 #include "net/comm_graph.hpp"
 #include "net/deployment.hpp"
+#include "sim/run_capsule.hpp"
+#include "sim/runners.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -125,6 +127,58 @@ TEST_P(TiledIndexScale, CommGraphMatchesPairScan) {
 
 INSTANTIATE_TEST_SUITE_P(Scales, TiledIndexScale,
                          ::testing::Values(400, 2500, 10000));
+
+// Positions far outside the tiled rectangle (finite, so a capsule can
+// carry them) clamp to the edge tiles instead of overflowing the int
+// cast; in range, the mapping is the historical truncating cast.
+TEST(TileLayoutClamp, FarOutOfRangeCoordinatesClampToEdgeTiles) {
+  const TileLayout layout{-2.0, 3.0, 0.5, 0.25, 8, 6};
+  for (const double far : {1e300, -1e300}) {
+    const int edge_col = far > 0 ? layout.cols - 1 : 0;
+    const int edge_row = far > 0 ? layout.rows - 1 : 0;
+    EXPECT_EQ(layout.col_of(far), edge_col);
+    EXPECT_EQ(layout.row_of(far), edge_row);
+  }
+  for (double x = -3.0; x <= 3.0; x += 0.0625) {
+    const int c = static_cast<int>((x - layout.x0) / layout.tw);
+    EXPECT_EQ(layout.col_of(x), std::clamp(c, 0, layout.cols - 1)) << x;
+    const int r = static_cast<int>((x + 4.0 - layout.y0) / layout.th);
+    EXPECT_EQ(layout.row_of(x + 4.0), std::clamp(r, 0, layout.rows - 1)) << x;
+  }
+
+  // Every structure built on the layout copes with such a point.
+  std::vector<Vec2> points = {{1.0, 1.0}, {1e300, -1e300}, {-1e300, 1e300}};
+  const PointIndex index(points);
+  EXPECT_EQ(index.nearest({1.2, 0.9}), 0);
+  std::vector<Node> nodes;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    nodes.emplace_back();
+    nodes.back().id = static_cast<int>(i);
+    nodes.back().pos = points[i];
+  }
+  const CommGraph graph(Deployment({0.0, 0.0, 4.0, 4.0}, nodes), 1.0);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(graph.degree(i), 0);
+}
+
+// A capsule whose node lies far outside the deployment bounds decodes,
+// and replays bit for bit: the stray node is simply out of radio reach.
+TEST(TileLayoutClamp, CapsuleWithFarOutsideNodeReplays) {
+  ScenarioConfig config;
+  config.num_nodes = 64;
+  config.field_side = 8.0;
+  config.seed = 3;
+  const Scenario scenario = make_scenario(config);
+  capsule::RunCapsule run = capsule::record_single_shot(
+      scenario, isomap_options(scenario, 3), "test: far-outside node");
+  const std::size_t stray = run.sink == 0 ? 1 : 0;
+  run.deployment.nodes[stray].pos = {1e300, -1e300};
+  const capsule::RunCapsule recorded = capsule::replay(run);
+  const capsule::RunCapsule decoded = capsule::from_capsule(
+      capsule::Capsule::decode(capsule::to_capsule(recorded).encode()));
+  EXPECT_EQ(decoded.deployment.nodes[stray].pos.x, 1e300);
+  EXPECT_FALSE(
+      capsule::diff_outputs(recorded, capsule::replay(decoded)).has_value());
+}
 
 }  // namespace
 }  // namespace isomap

@@ -15,17 +15,16 @@
 // Exit 0: all medians within tolerance. Exit 1: a regression (or a
 // missing / parameter-mismatched fresh file). Exit 2: usage/IO error.
 
-#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 using isomap::JsonValue;
 
@@ -58,18 +57,14 @@ std::optional<double> column_median(const JsonValue& table,
                                     std::size_t column) {
   const JsonValue* rows = table.find("rows");
   if (rows == nullptr || !rows->is_array()) return std::nullopt;
-  std::vector<double> values;
+  isomap::SampleSet values;
   for (const JsonValue& row : rows->items()) {
     if (!row.is_array() || column >= row.size()) continue;
     const JsonValue& cell = row.at(column);
-    if (cell.is_number()) values.push_back(cell.as_number());
+    if (cell.is_number()) values.add(cell.as_number());
   }
   if (values.empty()) return std::nullopt;
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1
-             ? values[mid]
-             : 0.5 * (values[mid - 1] + values[mid]);
+  return values.median();
 }
 
 struct Gate {

@@ -13,9 +13,10 @@
 // `validate` parses + validates the scenario and prints its shape.
 // `run` drives the scenario's own query mix: one batch per tick, for the
 // scenario's round count — or, with --soak-s, repeating until S seconds
-// of wall clock elapsed (the CI soak lane). --out writes the service
-// summary and the per-shard RunSummaries; --capsules exports each shard
-// as a replayable run capsule (isomap_replay / isomap_inspect
+// of wall clock elapsed (the CI soak lane), then checking that resident
+// memory stayed flat over the soak's last two thirds. --out writes the
+// service summary and the per-shard RunSummaries; --capsules exports
+// each shard as a replayable run capsule (isomap_replay / isomap_inspect
 // --reconcile). --min-cache-hits asserts a floor on the lifetime
 // cache-hit counter. `serve` reads newline-delimited JSON from stdin:
 //   {"deployment":"<name>","levels":[0,2]}   enqueue a query
@@ -28,7 +29,8 @@
 //   0  success
 //   2  usage error (bad flags / missing subcommand)
 //   3  invalid scenario (syntax, schema, range, unreadable file)
-//   4  runtime divergence (oracle mismatch, --min-cache-hits unmet)
+//   4  runtime divergence (oracle mismatch, --min-cache-hits unmet, RSS
+//      growth past the soak bound)
 
 #include <chrono>
 #include <filesystem>
@@ -42,6 +44,7 @@
 #include "serve/service.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/mem.hpp"
 
 using namespace isomap;
 
@@ -51,6 +54,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+/// Largest RSS growth a soak may show from its one-third mark to its end,
+/// when the caches are full and every sample set is at capacity.
+constexpr std::size_t kSoakRssGrowthKiB = 6 * 1024;
 
 int usage() {
   std::cerr
@@ -88,6 +95,7 @@ int run_mode(const CliArgs& args, serve::ServiceScenario scenario) {
   serve::IsoMapService service(std::move(scenario));
 
   long long batches = 0;
+  std::size_t rss_third = 0;  // Bytes, once a third of the soak has passed.
   for (;;) {
     service.tick();
     service.serve_batch(service.mix_for_tick());
@@ -95,12 +103,16 @@ int run_mode(const CliArgs& args, serve::ServiceScenario scenario) {
     if (soak_s > 0.0) {
       // Soak: loop the scenario's round schedule until the clock runs
       // out (the drift ping-pong keeps generating reading deltas).
-      if (seconds_since(t0) >= soak_s) break;
+      const double elapsed = seconds_since(t0);
+      if (rss_third == 0 && elapsed >= soak_s / 3.0)
+        rss_third = current_rss_bytes();
+      if (elapsed >= soak_s) break;
     } else if (service.rounds_done() >= service.scenario().rounds) {
       break;
     }
   }
   const double wall_s = seconds_since(t0);
+  const std::size_t rss_end = soak_s > 0.0 ? current_rss_bytes() : 0;
 
   if (const auto capsule_dir = args.get("capsules")) {
     std::error_code ec;
@@ -134,8 +146,17 @@ int run_mode(const CliArgs& args, serve::ServiceScenario scenario) {
             << "oracle:   " << stats.oracle_checks << " checks, "
             << stats.oracle_failures << " failures\n";
 
+  if (soak_s > 0.0)
+    std::cout << "rss:      " << rss_third / 1024 << " KiB at " << soak_s / 3
+              << " s, " << rss_end / 1024 << " KiB at end\n";
+
   if (stats.oracle_failures > 0) {
     std::cerr << "DIVERGENCE: " << service.first_divergence() << "\n";
+    return 4;
+  }
+  if (rss_end > rss_third + kSoakRssGrowthKiB * 1024) {
+    std::cerr << "isomap_serve: RSS grew more than " << kSoakRssGrowthKiB
+              << " KiB over the soak's last two thirds\n";
     return 4;
   }
   if (args.has("min-cache-hits") &&
