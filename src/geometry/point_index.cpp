@@ -5,6 +5,18 @@
 #include <limits>
 
 namespace isomap {
+namespace {
+
+/// ceil(span / cell) as a cell count of at least 1, clamped in double
+/// before the int cast (as TileLayout::col_of does); NaN gives 1.
+int cell_count(double span, double cell) {
+  constexpr int kMaxCells = std::numeric_limits<int>::max();
+  const double q = std::ceil(span / cell);
+  if (!(q >= 1.0)) return 1;
+  return q < kMaxCells ? static_cast<int>(q) : kMaxCells;
+}
+
+}  // namespace
 
 PointIndex::PointIndex(std::vector<Vec2> points)
     : points_(std::move(points)) {
@@ -21,8 +33,12 @@ PointIndex::PointIndex(std::vector<Vec2> points)
     max_x = std::max(max_x, p.x);
     max_y = std::max(max_y, p.y);
   }
-  const double span_x = std::max(max_x - min_x_, 1e-9);
-  const double span_y = std::max(max_y - min_y_, 1e-9);
+  // Spans are clamped to the largest finite double: for finite points
+  // near +-DBL_MAX the difference overflows to inf, and an inf cell size
+  // would turn the cell counts below into NaN.
+  constexpr double kMaxSpan = std::numeric_limits<double>::max();
+  const double span_x = std::clamp(max_x - min_x_, 1e-9, kMaxSpan);
+  const double span_y = std::clamp(max_y - min_y_, 1e-9, kMaxSpan);
   // Square cells sized from the larger extent so degenerate (collinear /
   // very thin) point sets still yield at most ~sqrt(n) cells per axis —
   // sizing from the box *area* would explode the column count for thin
@@ -31,8 +47,8 @@ PointIndex::PointIndex(std::vector<Vec2> points)
       std::ceil(std::sqrt(std::max(1.0, static_cast<double>(points_.size()))));
   cell_size_ = std::max(span_x, span_y) / per_axis;
   if (cell_size_ <= 0.0) cell_size_ = 1.0;
-  cols_ = std::max(1, static_cast<int>(std::ceil(span_x / cell_size_)));
-  rows_ = std::max(1, static_cast<int>(std::ceil(span_y / cell_size_)));
+  cols_ = cell_count(span_x, cell_size_);
+  rows_ = cell_count(span_y, cell_size_);
   grid_ = TileGrid(
       TileLayout{min_x_, min_y_, cell_size_, cell_size_, cols_, rows_},
       points_);

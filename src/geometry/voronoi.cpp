@@ -30,15 +30,28 @@ struct TaggedLoop {
   std::vector<int> tags;  // tags[i] tags edge vertices[i] -> vertices[i+1].
 };
 
-/// Clip a convex tagged loop by a closed half-plane; the newly created edge
-/// (lying on the clip line) gets `new_tag`.
-TaggedLoop clip_tagged(const TaggedLoop& in, const HalfPlane& hp,
-                       int new_tag) {
-  TaggedLoop out;
+/// Clip a convex tagged loop by a closed half-plane into `out` (cleared
+/// first; its capacity is reused); the newly created edge (lying on the
+/// clip line) gets `new_tag`. Consecutive (near-)duplicate vertices are
+/// merged as they are emitted, merging their edges: the surviving vertex
+/// keeps the tag of the *second* edge when the first degenerated to zero
+/// length. A loop left with fewer than three vertices comes back empty.
+void clip_tagged(const TaggedLoop& in, const HalfPlane& hp, int new_tag,
+                 TaggedLoop& out) {
+  out.vertices.clear();
+  out.tags.clear();
   const std::size_t n = in.vertices.size();
-  if (n < 3) return out;
+  if (n < 3) return;
   out.vertices.reserve(n + 2);
   out.tags.reserve(n + 2);
+  const auto emit = [&out](Vec2 v, int tag) {
+    if (!out.vertices.empty() && out.vertices.back().distance_to(v) <= 1e-9) {
+      out.tags.back() = tag;
+      return;
+    }
+    out.vertices.push_back(v);
+    out.tags.push_back(tag);
+  };
   constexpr double kEps = 1e-12;
   for (std::size_t i = 0; i < n; ++i) {
     const Vec2 cur = in.vertices[i];
@@ -49,42 +62,25 @@ TaggedLoop clip_tagged(const TaggedLoop& in, const HalfPlane& hp,
     const bool cur_in = dc <= kEps;
     const bool nxt_in = dn <= kEps;
     if (cur_in && nxt_in) {
-      out.vertices.push_back(cur);
-      out.tags.push_back(tag);
+      emit(cur, tag);
     } else if (cur_in && !nxt_in) {
-      out.vertices.push_back(cur);
-      out.tags.push_back(tag);
+      emit(cur, tag);
       const double t = dc / (dc - dn);
-      out.vertices.push_back(cur + (nxt - cur) * t);
-      out.tags.push_back(new_tag);
+      emit(cur + (nxt - cur) * t, new_tag);
     } else if (!cur_in && nxt_in) {
       const double t = dc / (dc - dn);
-      out.vertices.push_back(cur + (nxt - cur) * t);
-      out.tags.push_back(tag);
+      emit(cur + (nxt - cur) * t, tag);
     }
   }
-  // Remove consecutive (near-)duplicate vertices, merging their edges; the
-  // surviving vertex keeps the tag of the *second* edge when the first
-  // degenerated to zero length.
-  TaggedLoop clean;
-  const std::size_t m = out.vertices.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    const Vec2 v = out.vertices[i];
-    if (!clean.vertices.empty() &&
-        clean.vertices.back().distance_to(v) <= 1e-9) {
-      clean.tags.back() = out.tags[i];
-      continue;
-    }
-    clean.vertices.push_back(v);
-    clean.tags.push_back(out.tags[i]);
+  while (out.vertices.size() > 1 &&
+         out.vertices.front().distance_to(out.vertices.back()) <= 1e-9) {
+    out.vertices.pop_back();
+    out.tags.pop_back();
   }
-  while (clean.vertices.size() > 1 &&
-         clean.vertices.front().distance_to(clean.vertices.back()) <= 1e-9) {
-    clean.vertices.pop_back();
-    clean.tags.pop_back();
+  if (out.vertices.size() < 3) {
+    out.vertices.clear();
+    out.tags.clear();
   }
-  if (clean.vertices.size() < 3) return {};
-  return clean;
 }
 
 TaggedLoop box_loop(double x0, double y0, double x1, double y1) {
@@ -100,13 +96,14 @@ double farthest_vertex2(const TaggedLoop& loop, Vec2 si) {
   return far2;
 }
 
-/// Feed candidate j (arriving nearest-first) into cell i's clip loop.
-/// Returns true when the cell's enumeration is finished: a duplicate site
-/// ceded the cell, the remaining bisectors were pruned, or the loop
-/// degenerated. Shared verbatim by both construction modes so they stay
-/// bitwise-identical.
+/// Feed candidate j (arriving nearest-first) into cell i's clip loop,
+/// clipping into `scratch` and swapping it in, so a cell's clips reuse
+/// two buffers instead of allocating per candidate. Returns true when the
+/// cell's enumeration is finished: a duplicate site ceded the cell, the
+/// remaining bisectors were pruned, or the loop degenerated. Shared
+/// verbatim by both construction modes so they stay bitwise-identical.
 bool feed_candidate(const std::vector<Vec2>& sites, std::size_t i, int j,
-                    TaggedLoop& loop, bool& duplicate) {
+                    TaggedLoop& loop, TaggedLoop& scratch, bool& duplicate) {
   if (static_cast<std::size_t>(j) == i) return false;
   const Vec2 si = sites[i];
   const double dij = sites[static_cast<std::size_t>(j)].distance_to(si);
@@ -122,7 +119,10 @@ bool feed_candidate(const std::vector<Vec2>& sites, std::size_t i, int j,
   // |s_j - s_i| / 2 exceeds the farthest cell vertex from s_i, the
   // bisector of (i, j) — and every farther one — lies outside the cell.
   if (dij * dij * 0.25 > farthest_vertex2(loop, si)) return true;
-  loop = clip_tagged(loop, HalfPlane::closer_to(si, sites[static_cast<std::size_t>(j)]), j);
+  const HalfPlane hp =
+      HalfPlane::closer_to(si, sites[static_cast<std::size_t>(j)]);
+  clip_tagged(loop, hp, j, scratch);
+  std::swap(loop, scratch);
   return loop.vertices.size() < 3;
 }
 
@@ -148,9 +148,10 @@ VoronoiDiagram::VoronoiDiagram(std::vector<Vec2> sites, double x0, double y0,
 void VoronoiDiagram::build_cell(std::size_t i,
                                 const std::vector<int>& candidates) {
   TaggedLoop loop = box_loop(x0_, y0_, x1_, y1_);
+  TaggedLoop scratch;
   bool duplicate = false;
   for (int j : candidates)
-    if (feed_candidate(sites_, i, j, loop, duplicate)) break;
+    if (feed_candidate(sites_, i, j, loop, scratch, duplicate)) break;
   VoronoiCell& cell = cells_[i];
   cell.site = static_cast<int>(i);
   if (!duplicate) {
@@ -185,6 +186,7 @@ void VoronoiDiagram::build_indexed() {
   const std::size_t n = sites_.size();
   const double diag = std::hypot(x1_ - x0_, y1_ - y0_);
   std::vector<int> batch;
+  TaggedLoop scratch;  // Clip target, reused across every cell.
   for (std::size_t i = 0; i < n; ++i) {
     const Vec2 si = sites_[i];
     TaggedLoop loop = box_loop(x0_, y0_, x1_, y1_);
@@ -201,7 +203,7 @@ void VoronoiDiagram::build_indexed() {
         return da < db || (da == db && a < b);
       });
       for (int j : batch) {
-        if (feed_candidate(sites_, i, j, loop, duplicate)) {
+        if (feed_candidate(sites_, i, j, loop, scratch, duplicate)) {
           done = true;
           break;
         }

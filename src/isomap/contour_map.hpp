@@ -106,6 +106,13 @@ class ContourMap {
     return *regions_[static_cast<std::size_t>(k)];
   }
 
+  /// Level k's region as shared with the map's other holders. A clean
+  /// level of the continuous engine hands every round's map the same
+  /// pointer, so pointer identity tells an unchanged level apart.
+  const std::shared_ptr<const LevelRegion>& shared_region(int k) const {
+    return regions_[static_cast<std::size_t>(k)];
+  }
+
   /// Number of nested regions containing q: 0 means q is below the first
   /// isolevel, level_count() means q is inside the highest region. The
   /// recursive restriction rule of Section 3.4 is applied: a point only

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "exec/exec.hpp"
 #include "field/bathymetry.hpp"
@@ -78,6 +79,16 @@ ContinuousOptions make_continuous_options(const DeploymentSpec& spec,
 /// capsule-driven shard rebuilt from a recorded continuous run (readings
 /// scripted from the capsule's stored rounds).
 struct IsoMapService::Shard {
+  /// One level's wire fragment: the write_level bytes of `region`. The
+  /// slot holds the region itself, so while the fragment is kept no other
+  /// region can take its address: the bytes are current exactly when the
+  /// live map's region for the level is this pointer.
+  struct Fragment {
+    std::shared_ptr<const LevelRegion> region;
+    std::string bytes;
+    std::uint64_t scheduled_batch = 0;  ///< Last batch to schedule a rewrite.
+  };
+
   std::string name;
   ScenarioConfig config;      ///< Provenance for capsule export.
   double radio_range = 0.0;
@@ -96,6 +107,8 @@ struct IsoMapService::Shard {
   std::vector<double> blended;        ///< Per-round blending scratch.
   std::vector<std::vector<double>> scripted;  ///< Capsule-driven rounds.
   std::vector<std::vector<double>> recorded_rounds;  ///< Capsule export.
+  std::string envelope;  ///< write_envelope(name): every body's prefix.
+  std::vector<Fragment> fragments;  ///< One per level.
 
   explicit Shard(const DeploymentSpec& s)
       : Shard(s, make_scenario(s.to_config())) {}
@@ -119,7 +132,9 @@ struct IsoMapService::Shard {
         graph(std::move(sc.graph)),
         tree(std::move(sc.tree)),
         mapper(options, deployment, graph, tree),
-        ledger(deployment.size()) {}
+        ledger(deployment.size()) {
+    init_wire();
+  }
 
   /// Capsule-driven shard: deployment snapshot materialized, graph/tree
   /// re-derived from radio_range + sink exactly as capsule::replay does.
@@ -134,7 +149,16 @@ struct IsoMapService::Shard {
         tree(graph, c.sink),
         mapper(options, deployment, graph, tree),
         ledger(deployment.size()),
-        scripted(c.rounds) {}
+        scripted(c.rounds) {
+    init_wire();
+  }
+
+  /// Size the fragment slots and write the envelope; called once the
+  /// shard's name and level count are final.
+  void init_wire() {
+    write_envelope(envelope, name);
+    fragments.resize(isolevels.size());
+  }
 
   /// This shard's readings for round `round_index` (1-based), valid until
   /// the next call. A scripted shard replays its capsule's recorded
@@ -200,6 +224,10 @@ int IsoMapService::attach_capsule_shard(const std::string& name,
   return shard_count() - 1;
 }
 
+const ContourMap& IsoMapService::map(int shard) const {
+  return shards_[static_cast<std::size_t>(shard)]->last.value().map;
+}
+
 int IsoMapService::num_levels(int shard) const {
   return static_cast<int>(
       shards_[static_cast<std::size_t>(shard)]->isolevels.size());
@@ -260,31 +288,25 @@ std::vector<QueryRequest> IsoMapService::mix_for_tick() const {
 }
 
 std::string IsoMapService::cache_key(const QueryRequest& request) const {
-  const Shard& s = *shards_[static_cast<std::size_t>(request.shard)];
-  const std::vector<std::uint64_t>& fps = s.mapper.level_fingerprints();
-  std::string key = s.name;
-  key += '|';
+  // Fixed-width binary records, so the key is unambiguous without
+  // separators: the shard index (shards are only ever appended, so an
+  // index names one deployment for the service's lifetime), then per
+  // requested level its index and its raw 8-byte round fingerprint.
+  const std::vector<std::uint64_t>& fps =
+      shards_[static_cast<std::size_t>(request.shard)]
+          ->mapper.level_fingerprints();
+  constexpr std::size_t kLevelBytes = sizeof(int) + sizeof(std::uint64_t);
+  std::string key(sizeof(int) + request.levels.size() * kLevelBytes, '\0');
+  char* p = key.data();
+  std::memcpy(p, &request.shard, sizeof(int));
+  p += sizeof(int);
   for (const int k : request.levels) {
-    key += std::to_string(k);
-    key += ',';
-  }
-  key += '|';
-  char buf[20];
-  for (const int k : request.levels) {
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      fps[static_cast<std::size_t>(k)]));
-    key += buf;
-    key += ',';
+    std::memcpy(p, &k, sizeof(int));
+    std::memcpy(p + sizeof(int), &fps[static_cast<std::size_t>(k)],
+                sizeof(std::uint64_t));
+    p += kLevelBytes;
   }
   return key;
-}
-
-std::shared_ptr<const std::string> IsoMapService::build_body(
-    const QueryRequest& request) const {
-  const Shard& s = *shards_[static_cast<std::size_t>(request.shard)];
-  return std::make_shared<const std::string>(serialize_response(
-      s.name, wire_levels_from_map(s.last->map, request.levels)));
 }
 
 void IsoMapService::cache_insert(std::string key,
@@ -303,13 +325,24 @@ std::vector<QueryResponse> IsoMapService::serve_batch(
     throw std::logic_error(
         "IsoMapService::serve_batch: no round ticked yet (fingerprints "
         "undefined)");
+  const std::uint64_t batch_id = ++batches_served_;
   std::vector<QueryResponse> out(batch.size());
   std::vector<std::string> keys(batch.size());
 
   // Phase 1 (serial): cache lookups; deduplicate the misses in
-  // first-appearance order.
-  std::unordered_map<std::string, std::size_t> miss_of_key;
+  // first-appearance order, and schedule every fragment a miss needs
+  // whose region changed since it was written, once, charged to the
+  // first miss that needs it.
+  struct FragmentTask {
+    Shard::Fragment* slot;
+    const std::shared_ptr<const LevelRegion>* region;
+    std::size_t miss;  ///< The miss that needed it first.
+  };
+  // Views into `keys`, which stay untouched until phase 3.
+  std::unordered_map<std::string_view, std::size_t> miss_of_key;
   std::vector<std::size_t> miss_query;  ///< Representative query per build.
+  std::vector<std::size_t> miss_of(batch.size());  ///< Per missing query.
+  std::vector<FragmentTask> tasks;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     keys[i] = cache_key(batch[i]);
@@ -318,30 +351,65 @@ std::vector<QueryResponse> IsoMapService::serve_batch(
       out[i].cache_hit = true;
       out[i].body = it->second;
       out[i].latency_us = micros_since(t0);
-    } else if (miss_of_key.find(keys[i]) == miss_of_key.end()) {
-      miss_of_key.emplace(keys[i], miss_query.size());
+      continue;
+    }
+    const auto [dedup, first] =
+        miss_of_key.try_emplace(keys[i], miss_query.size());
+    miss_of[i] = dedup->second;
+    if (first) {
+      Shard& s = *shards_[static_cast<std::size_t>(batch[i].shard)];
+      for (const int k : batch[i].levels) {
+        Shard::Fragment& slot = s.fragments[static_cast<std::size_t>(k)];
+        const auto& region = s.last->map.shared_region(k);
+        if (slot.region == region || slot.scheduled_batch == batch_id)
+          continue;
+        slot.scheduled_batch = batch_id;
+        tasks.push_back({&slot, &region, miss_query.size()});
+      }
       miss_query.push_back(i);
     }
   }
 
-  // Phase 2 (parallel): build the unique missing bodies. Each slot is
-  // written by exactly one task and the bodies touch only their own
-  // shard's (read-only between ticks) state, so the batch result is
-  // thread-count-independent. Empty scope: serialization emits nothing,
-  // and worker threads must not inherit the driver's context.
-  std::vector<std::shared_ptr<const std::string>> built(miss_query.size());
-  std::vector<double> built_us(miss_query.size());
-  exec::parallel_for(miss_query.size(), [&](std::size_t b) {
+  // Phase 2 (parallel): write the stale fragments. Each slot is written
+  // by exactly one task from its shard's (read-only between ticks) map,
+  // and a slot takes its new region only together with the finished
+  // bytes. Empty scope: serialization emits nothing, and worker threads
+  // must not inherit the driver's context.
+  std::vector<double> task_us(tasks.size());
+  exec::parallel_for(tasks.size(), [&](std::size_t t) {
     const obs::ObsScope scope(nullptr, nullptr);
     const auto t0 = std::chrono::steady_clock::now();
-    built[b] = build_body(batch[miss_query[b]]);
-    built_us[b] = micros_since(t0);
+    const FragmentTask& task = tasks[t];
+    std::string bytes;
+    bytes.reserve(task.slot->bytes.size());
+    write_level(bytes, wire_level_of(**task.region));
+    task.slot->bytes = std::move(bytes);
+    task.slot->region = *task.region;
+    task_us[t] = micros_since(t0);
   });
+  stats_.fragments_built += static_cast<long long>(tasks.size());
 
-  // Phase 3 (serial): commit to the cache in batch order, resolve every
-  // miss, account, and run the oracle lane.
-  for (std::size_t b = 0; b < miss_query.size(); ++b)
-    cache_insert(keys[miss_query[b]], built[b]);
+  // Phase 3 (serial): assemble each unique body from its shard's envelope
+  // and fragments, commit it to the cache in batch order, resolve every
+  // miss, account, and run the oracle lane. A miss's latency is its
+  // body's assembly plus the fragments it was first to need.
+  std::vector<std::shared_ptr<const std::string>> built(miss_query.size());
+  std::vector<double> built_us(miss_query.size(), 0.0);
+  for (std::size_t t = 0; t < tasks.size(); ++t)
+    built_us[tasks[t].miss] += task_us[t];
+  std::vector<const std::string*> parts;
+  for (std::size_t b = 0; b < miss_query.size(); ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const QueryRequest& request = batch[miss_query[b]];
+    const Shard& s = *shards_[static_cast<std::size_t>(request.shard)];
+    parts.clear();
+    for (const int k : request.levels)
+      parts.push_back(&s.fragments[static_cast<std::size_t>(k)].bytes);
+    built[b] = std::make_shared<const std::string>(
+        assemble_response(s.envelope, parts));
+    built_us[b] += micros_since(t0);
+    cache_insert(std::move(keys[miss_query[b]]), built[b]);
+  }
   stats_.unique_bodies_built += static_cast<long long>(miss_query.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ++stats_.queries;
@@ -349,7 +417,7 @@ std::vector<QueryResponse> IsoMapService::serve_batch(
       ++stats_.cache_hits;
       lat_hit_.add(out[i].latency_us);
     } else {
-      const std::size_t b = miss_of_key.at(keys[i]);
+      const std::size_t b = miss_of[i];
       out[i].cache_hit = false;
       out[i].body = built[b];
       out[i].latency_us = built_us[b];
@@ -404,6 +472,7 @@ JsonValue IsoMapService::service_summary(double wall_s) const {
   j["cache_hits"] = stats_.cache_hits;
   j["cache_misses"] = stats_.cache_misses;
   j["unique_bodies_built"] = stats_.unique_bodies_built;
+  j["fragments_built"] = stats_.fragments_built;
   j["hit_rate_pct"] =
       stats_.queries > 0
           ? 100.0 * static_cast<double>(stats_.cache_hits) /

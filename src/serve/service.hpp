@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "isomap/contour_map.hpp"
 #include "serve/scenario.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -41,6 +42,7 @@ struct ServiceStats {
   long long cache_hits = 0;
   long long cache_misses = 0;
   long long unique_bodies_built = 0;  ///< Misses after per-batch dedup.
+  long long fragments_built = 0;  ///< Per-level wire fragments written.
   long long oracle_checks = 0;
   long long oracle_failures = 0;
 };
@@ -53,8 +55,9 @@ struct ServiceStats {
 /// thread-count-independent). Queries are answered between ticks from a
 /// FIFO response cache keyed by (deployment, isolevel set, per-level
 /// round fingerprint); a batch partitions into hits and deduplicated
-/// misses, builds the missing bodies in parallel, then commits them to
-/// the cache in batch order. See docs/SERVICE.md.
+/// misses, rewrites in parallel the per-level wire fragments whose region
+/// changed, then assembles the missing bodies from the fragments and
+/// commits them to the cache in batch order. See docs/SERVICE.md.
 ///
 /// Not thread-safe externally: one driver thread calls tick()/serve;
 /// internal parallelism goes through exec::parallel_for only.
@@ -100,7 +103,8 @@ class IsoMapService {
   std::vector<QueryRequest> mix_for_tick() const;
 
   /// Serve one batch of normalized requests: cache lookups, then one
-  /// parallel build pass over the deduplicated misses, then cache commit.
+  /// parallel pass writing the stale fragments the deduplicated misses
+  /// need, then body assembly and cache commit.
   /// Requires at least one tick() first (fingerprints exist). When the
   /// scenario's oracle_check_every is k > 0, every k-th query (lifetime
   /// count) is re-built from scratch and byte-compared; a divergence is
@@ -115,6 +119,9 @@ class IsoMapService {
   /// the bytes match.
   std::optional<std::string> oracle_check(const QueryRequest& request,
                                           const std::string& served) const;
+
+  /// The shard's live contour map as of the last tick (requires one).
+  const ContourMap& map(int shard) const;
 
   const ServiceStats& stats() const { return stats_; }
   const std::string& first_divergence() const { return first_divergence_; }
@@ -148,13 +155,12 @@ class IsoMapService {
   struct Shard;
 
   std::string cache_key(const QueryRequest& request) const;
-  std::shared_ptr<const std::string> build_body(
-      const QueryRequest& request) const;
   void cache_insert(std::string key, std::shared_ptr<const std::string> body);
 
   ServiceScenario scenario_;
   std::vector<std::unique_ptr<Shard>> shards_;
   int rounds_done_ = 0;
+  std::uint64_t batches_served_ = 0;  ///< Fragment scheduling stamp.
 
   std::unordered_map<std::string, std::shared_ptr<const std::string>> cache_;
   std::deque<std::string> cache_fifo_;  ///< Insertion order, for eviction.

@@ -32,18 +32,27 @@ void json_escape(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
-std::string json_number(double d) {
-  if (!std::isfinite(d)) return "null";
+void append_json_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
   // Integers (within the exactly-representable range) print without an
   // exponent or decimal point; everything else uses shortest round-trip.
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    return buf;
+    const int n = std::snprintf(buf, sizeof buf, "%.0f", d);
+    out.append(buf, static_cast<std::size_t>(n));
+    return;
   }
-  char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof buf, d);
-  return std::string(buf, res.ptr);
+  out.append(buf, res.ptr);
+}
+
+std::string json_number(double d) {
+  std::string out;
+  append_json_number(out, d);
+  return out;
 }
 
 void JsonValue::push_back(JsonValue v) {

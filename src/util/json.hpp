@@ -106,4 +106,7 @@ void json_escape(std::string& out, std::string_view s);
 /// representation; integers without a trailing ".0"). Non-finite -> "null".
 std::string json_number(double d);
 
+/// Append json_number(d) to `out` without building a temporary string.
+void append_json_number(std::string& out, double d);
+
 }  // namespace isomap

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "geometry/point_index.hpp"
 #include "util/rng.hpp"
@@ -53,6 +54,19 @@ TEST(PointIndex, KNearestOrdering) {
   const auto all = index.k_nearest({0.1, 0}, 99);
   EXPECT_EQ(all.size(), 5u);
   EXPECT_EQ(all.back(), 4);
+}
+
+TEST(PointIndex, ExtentNearDoubleMaxKeepsCellsFinite) {
+  // max - min overflows to inf here; the cell size and the cell counts
+  // must stay finite (no NaN may reach an int cast, which the
+  // float-cast-overflow sanitizer reports).
+  PointIndex index({{-1.7e308, 0}, {1.7e308, 0}, {0, 0}});
+  EXPECT_TRUE(std::isfinite(index.cell_size()));
+  EXPECT_EQ(index.nearest({-1.7e308, 0}), 0);
+  EXPECT_EQ(index.nearest({1.7e308, 0}), 1);
+  EXPECT_EQ(index.nearest({0, 0}), 2);
+  EXPECT_EQ(index.nearest({1e154, 0}), 2);
+  EXPECT_EQ(index.nearest({-1e154, 1e150}), 2);
 }
 
 class PointIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -395,6 +395,143 @@ TEST(IsoMapServiceTest, ServedBytesAreThreadCountIndependent) {
 }
 
 // ---------------------------------------------------------------------------
+// Wire fragments.
+
+TEST(WireTest, EnvelopePlusJoinedFragmentsEqualsSerializeResponse) {
+  const std::vector<Vec2> ring = {{0.1, 2.0}, {3.25, -1e-7}, {1e21, 4.0}};
+  const std::vector<Vec2> open = {{5.0, 6.5}};
+  std::vector<serve::WireLevel> levels;
+  for (int k = 0; k < 4; ++k) {
+    serve::WireLevel w;
+    w.isolevel = -2.5 + 0.3 * k;
+    w.report_count = 3 * k;
+    if (k % 2 == 0) w.boundaries = {{true, &ring}, {false, &open}};
+    levels.push_back(w);
+  }
+  const std::string name = "harbor \"east\"";
+  std::string envelope;
+  serve::write_envelope(envelope, name);
+  for (const std::size_t count : {0u, 1u, 4u}) {
+    const std::vector<serve::WireLevel> subset(levels.begin(),
+                                               levels.begin() + count);
+    std::vector<std::string> fragments(count);
+    std::vector<const std::string*> parts;
+    for (std::size_t i = 0; i < count; ++i) {
+      serve::write_level(fragments[i], subset[i]);
+      parts.push_back(&fragments[i]);
+    }
+    EXPECT_EQ(serve::assemble_response(envelope, parts),
+              serve::serialize_response(name, subset))
+        << count << " levels";
+  }
+}
+
+/// Every nonempty level subset of every shard, shard by shard.
+std::vector<QueryRequest> all_subsets(const IsoMapService& service) {
+  std::vector<QueryRequest> out;
+  for (int shard = 0; shard < service.shard_count(); ++shard) {
+    const int n = service.num_levels(shard);
+    for (int mask = 1; mask < (1 << n); ++mask) {
+      QueryRequest q;
+      q.shard = shard;
+      for (int k = 0; k < n; ++k)
+        if ((mask >> k) & 1) q.levels.push_back(k);
+      out.push_back(std::move(q));
+    }
+  }
+  return out;
+}
+
+/// Every response equals a fresh serialization of the shard's live map,
+/// and the oracle rebuild agrees. Returns the bodies, one per line.
+std::string check_against_fresh(const IsoMapService& service,
+                                const std::vector<QueryRequest>& batch,
+                                const std::vector<QueryResponse>& out) {
+  std::string all;
+  EXPECT_EQ(out.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size() && i < out.size(); ++i) {
+    const QueryRequest& q = batch[i];
+    const std::string fresh = serve::serialize_response(
+        service.shard_name(q.shard),
+        serve::wire_levels_from_map(service.map(q.shard), q.levels));
+    EXPECT_EQ(*out[i].body, fresh)
+        << "round " << service.rounds_done() << " query " << i;
+    EXPECT_EQ(service.oracle_check(q, *out[i].body), std::nullopt)
+        << "round " << service.rounds_done() << " query " << i;
+    all += *out[i].body;
+    all += '\n';
+  }
+  return all;
+}
+
+TEST(IsoMapServiceTest, FragmentBodiesEqualFreshSerializationEveryTick) {
+  const int original = exec::thread_count();
+  std::vector<std::string> runs;
+  for (const int threads : {1, 4}) {
+    exec::set_thread_count(threads);
+    IsoMapService service(small_scenario(0.1));
+    std::string all;
+    for (int tick = 0; tick < 30; ++tick) {
+      service.tick();
+      // The tick's mix writes some fragments; the subset sweep then
+      // reuses those and writes the rest.
+      const std::vector<QueryRequest> mix = service.mix_for_tick();
+      all += check_against_fresh(service, mix, service.serve_batch(mix));
+      const std::vector<QueryRequest> subsets = all_subsets(service);
+      all += check_against_fresh(service, subsets,
+                                 service.serve_batch(subsets));
+    }
+    EXPECT_GT(service.stats().fragments_built, 0);
+    runs.push_back(std::move(all));
+  }
+  exec::set_thread_count(original);
+  EXPECT_EQ(runs[0], runs[1]);
+}
+
+TEST(IsoMapServiceTest, FrozenShardBuildsNoFragmentsAfterFirstServedTick) {
+  IsoMapService service(small_scenario(0.0));
+  service.tick();
+  const std::vector<QueryRequest> full = {full_set_query(service, 0),
+                                          full_set_query(service, 1)};
+  service.serve_batch(full);
+  const long long built = service.stats().fragments_built;
+  EXPECT_EQ(built, service.num_levels(0) + service.num_levels(1));
+  const long long bodies = service.stats().unique_bodies_built;
+  for (int tick = 0; tick < 5; ++tick) {
+    service.tick();
+    const std::vector<QueryRequest> subsets = all_subsets(service);
+    check_against_fresh(service, subsets, service.serve_batch(subsets));
+  }
+  // The subsets missed the body cache (new keys), yet every one was
+  // assembled from the fragments the first tick wrote.
+  EXPECT_GT(service.stats().unique_bodies_built, bodies);
+  EXPECT_EQ(service.stats().fragments_built, built);
+}
+
+TEST(IsoMapServiceTest, OracleEngineShardServesIdenticalBytes) {
+  // A kOracle shard builds a fresh region for every level every round,
+  // so each of its fragments is rewritten whenever a miss needs it; the
+  // bytes still equal the incremental engine's and a fresh rebuild.
+  ServiceScenario oracle_sc = small_scenario(0.1);
+  for (DeploymentSpec& d : oracle_sc.deployments)
+    d.engine = ContinuousEngine::kOracle;
+  IsoMapService oracle(oracle_sc);
+  IsoMapService incremental(small_scenario(0.1));
+  for (int tick = 0; tick < 8; ++tick) {
+    oracle.tick();
+    incremental.tick();
+    const std::vector<QueryRequest> subsets = all_subsets(oracle);
+    const std::string a =
+        check_against_fresh(oracle, subsets, oracle.serve_batch(subsets));
+    const std::string b = check_against_fresh(
+        incremental, subsets, incremental.serve_batch(subsets));
+    EXPECT_EQ(a, b) << "round " << tick + 1;
+  }
+  EXPECT_GE(oracle.stats().fragments_built,
+            incremental.stats().fragments_built);
+}
+
+// ---------------------------------------------------------------------------
 // Capsule integration.
 
 TEST(IsoMapServiceTest, ShardCapsuleExportReplaysBitForBit) {

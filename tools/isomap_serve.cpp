@@ -142,7 +142,8 @@ int run_mode(const CliArgs& args, serve::ServiceScenario scenario) {
             << wall_s << " s)\n"
             << "queries:  " << stats.queries << " (" << stats.cache_hits
             << " hits, " << stats.cache_misses << " misses, "
-            << stats.unique_bodies_built << " bodies built)\n"
+            << stats.unique_bodies_built << " bodies built, "
+            << stats.fragments_built << " fragments built)\n"
             << "oracle:   " << stats.oracle_checks << " checks, "
             << stats.oracle_failures << " failures\n";
 
