@@ -3,7 +3,9 @@
 // vs ring-expanding enumeration over the spatial index) and the k-hop BFS
 // (fresh O(n) buffers per call vs the epoch-stamped scratch). Each pair is
 // identity-checked before timing, so a speedup can never come from a
-// behaviour change.
+// behaviour change. Reference sides that ship nowhere (brute-force
+// Voronoi, per-cell marching squares, split SoA fit kernels, full-scan
+// selection) come from the isomap_oracle library in tests/oracle.
 // Expectation: indexed Voronoi >= 5x at n = 10000; scratch BFS ahead of
 // the allocating baseline at every density.
 
@@ -17,6 +19,10 @@
 #include "net/ledger.hpp"
 #include "obs/node_telemetry.hpp"
 #include "obs/obs.hpp"
+#include "oracle/marching_squares.hpp"
+#include "oracle/node_selection.hpp"
+#include "oracle/regression.hpp"
+#include "oracle/voronoi.hpp"
 
 using namespace isomap;
 using namespace isomap::bench;
@@ -49,11 +55,11 @@ double best_ms(int reps, Fn&& fn) {
 }
 
 void require_identical_cells(const VoronoiDiagram& a,
-                             const VoronoiDiagram& b) {
+                             const std::vector<VoronoiCell>& b) {
   bool same = a.size() == b.size();
   for (std::size_t i = 0; same && i < a.size(); ++i)
-    same = a.cell(i).vertices == b.cell(i).vertices &&
-           a.cell(i).edge_tags == b.cell(i).edge_tags;
+    same = a.cell(i).vertices == b[i].vertices &&
+           a.cell(i).edge_tags == b[i].edge_tags;
   if (!same) {
     std::cerr << "[micro_hotpaths] indexed/brute cell mismatch\n";
     std::exit(1);
@@ -81,35 +87,6 @@ std::vector<std::pair<int, int>> k_hop_baseline(const CommGraph& graph, int i,
   return out;
 }
 
-/// The pre-banded Definition 3.1 evaluation: every level scanned.
-NodeSelectionResult selection_full_scan(const CommGraph& graph,
-                                        const std::vector<double>& readings,
-                                        int node,
-                                        const std::vector<double>& levels,
-                                        double epsilon,
-                                        std::vector<int>& admitted) {
-  admitted.clear();
-  NodeSelectionResult result;
-  const double v = readings[static_cast<std::size_t>(node)];
-  result.ops = static_cast<double>(levels.size());
-  for (std::size_t li = 0; li < levels.size(); ++li) {
-    const double lambda = levels[li];
-    if (!is_candidate(v, lambda, epsilon)) continue;
-    ++result.candidates;
-    bool crossing = false;
-    for (int nb : graph.neighbours(node)) {
-      result.ops += 2.0;
-      const double nv = readings[static_cast<std::size_t>(nb)];
-      if ((v < lambda && lambda < nv) || (nv < lambda && lambda < v)) {
-        crossing = true;
-        break;
-      }
-    }
-    if (crossing) admitted.push_back(static_cast<int>(li));
-  }
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -125,16 +102,16 @@ int main() {
     // Identity first: the optimised construction must reproduce the
     // oracle bit for bit.
     require_identical_cells(
-        VoronoiDiagram(sites, 0, 0, 50, 50, VoronoiConstruction::kIndexed),
-        VoronoiDiagram(sites, 0, 0, 50, 50, VoronoiConstruction::kBruteForce));
+        VoronoiDiagram(sites, 0, 0, 50, 50),
+        oracle::brute_force_voronoi_cells(sites, 0, 0, 50, 50));
     const int brute_reps = n >= 10000 ? 1 : (n >= 2500 ? 2 : 5);
     const int indexed_reps = n >= 10000 ? 3 : 10;
     const double brute_ms = best_ms(brute_reps, [&] {
-      VoronoiDiagram vd(sites, 0, 0, 50, 50, VoronoiConstruction::kBruteForce);
-      if (vd.size() != sites.size()) std::exit(1);
+      const auto cells = oracle::brute_force_voronoi_cells(sites, 0, 0, 50, 50);
+      if (cells.size() != sites.size()) std::exit(1);
     });
     const double indexed_ms = best_ms(indexed_reps, [&] {
-      VoronoiDiagram vd(sites, 0, 0, 50, 50, VoronoiConstruction::kIndexed);
+      VoronoiDiagram vd(sites, 0, 0, 50, 50);
       if (vd.size() != sites.size()) std::exit(1);
     });
     table.row()
@@ -191,8 +168,8 @@ int main() {
       if (!s.graph.alive(i)) continue;
       const NodeSelectionResult got = evaluate_node_selection(
           s.graph, s.readings, i, levels, eps, banded);
-      const NodeSelectionResult want =
-          selection_full_scan(s.graph, s.readings, i, levels, eps, reference);
+      const NodeSelectionResult want = oracle::full_scan_selection(
+          s.graph, s.readings, i, levels, eps, reference);
       if (banded != reference || got.candidates != want.candidates ||
           got.ops != want.ops) {
         std::cerr << "[micro_hotpaths] selection mismatch at node " << i
@@ -205,8 +182,8 @@ int main() {
       double total = 0.0;
       for (int i = 0; i < s.graph.size(); ++i) {
         if (!s.graph.alive(i)) continue;
-        total += selection_full_scan(s.graph, s.readings, i, levels, eps,
-                                     reference)
+        total += oracle::full_scan_selection(s.graph, s.readings, i, levels,
+                                             eps, reference)
                      .ops;
       }
       sink = total;
@@ -289,10 +266,10 @@ int main() {
   }
 
   // SoA regression: the AoS fit_plane walks FieldSample structs (24-byte
-  // stride per coordinate); the SoA overload streams flat coordinate and
-  // value arrays. Each of the independent accumulator chains adds the same
-  // addends in the same order, so the fitted plane is bit-identical —
-  // checked on every neighbourhood before timing.
+  // stride per coordinate); fit_plane_soa, the protocol's fit, streams
+  // flat coordinate and value arrays. Each of the independent accumulator
+  // chains adds the same addends in the same order, so the fitted plane
+  // is bit-identical — checked on every neighbourhood before timing.
   for (const int n : {400, 2500, 10000}) {
     const Scenario s = harbor_scenario(n, kBenchSeed);
     std::vector<std::vector<FieldSample>> aos;
@@ -318,7 +295,7 @@ int main() {
     }
     for (std::size_t i = 0; i < aos.size(); ++i) {
       const auto a = fit_plane(aos[i]);
-      const auto b = fit_plane(all_xs[i], all_ys[i], all_vs[i]);
+      const auto b = fit_plane_soa(all_xs[i], all_ys[i], all_vs[i]);
       const bool same = a.has_value() == b.has_value() &&
                         (!a || (a->c0 == b->c0 && a->c1 == b->c1 &&
                                 a->c2 == b->c2));
@@ -337,7 +314,7 @@ int main() {
     const double soa_ms = best_ms(5, [&] {
       double total = 0.0;
       for (std::size_t i = 0; i < aos.size(); ++i)
-        if (const auto fit = fit_plane(all_xs[i], all_ys[i], all_vs[i]))
+        if (const auto fit = fit_plane_soa(all_xs[i], all_ys[i], all_vs[i]))
           total += fit->c1;
       sink = total;
     });
@@ -349,9 +326,9 @@ int main() {
         .cell(aos_ms / soa_ms, 1);
   }
 
-  // Fused SoA fit: the split span kernels (plane_position_stats +
-  // plane_value_stats, four passes over the arrays — retained as the
-  // scalar oracle) vs plane_stats_batch's two fused branch-free passes.
+  // Fused SoA fit: the oracle's split span kernels (plane_position_stats +
+  // plane_value_stats, four passes over the arrays) vs plane_stats_batch's
+  // two fused branch-free passes.
   // Fusing interleaves independent accumulator chains without touching
   // any chain's addend order, so the fitted plane must be — and is
   // checked to be — bit-identical before timing.
@@ -377,8 +354,8 @@ int main() {
                               std::span<const double> ys,
                               std::span<const double> vs) {
       if (xs.size() < 3) return std::optional<PlaneFit>();
-      const PlanePositionStats pos = plane_position_stats(xs, ys);
-      return solve_plane(pos, plane_value_stats(xs, ys, vs, pos));
+      const PlanePositionStats pos = oracle::plane_position_stats(xs, ys);
+      return solve_plane(pos, oracle::plane_value_stats(xs, ys, vs, pos));
     };
     for (std::size_t i = 0; i < all_xs.size(); ++i) {
       const auto a = split_fit(all_xs[i], all_ys[i], all_vs[i]);
@@ -480,7 +457,7 @@ int main() {
       const std::vector<double> levels = {4.0, 8.0, 12.0, 16.0};
       for (const double level : levels) {
         const auto got = marching_squares(grid, level);
-        const auto want = marching_squares_reference(grid, level);
+        const auto want = oracle::marching_squares_reference(grid, level);
         bool same = got.size() == want.size();
         for (std::size_t c = 0; same && c < got.size(); ++c)
           same = got[c].points() == want[c].points() &&
@@ -495,7 +472,7 @@ int main() {
       const double reference_ms = best_ms(3, [&] {
         std::size_t total = 0;
         for (const double level : levels)
-          total += marching_squares_reference(grid, level).size();
+          total += oracle::marching_squares_reference(grid, level).size();
         sink = total;
       });
       const double cached_ms = best_ms(3, [&] {

@@ -79,7 +79,10 @@ int PointIndex::nearest(Vec2 q) const {
         if (ring > 0 && r != r0 && r != r1 && c != c0 && c != c1) continue;
         for (int idx : cell(c, r)) {
           const double d2 = (points_[static_cast<std::size_t>(idx)] - q).norm2();
-          if (d2 < best_d2 || (d2 == best_d2 && idx < best)) {
+          // The first candidate is admitted unconditionally: when every
+          // squared distance overflows to inf, `d2 < best_d2` alone would
+          // never admit one and a nonempty index would return -1.
+          if (best < 0 || d2 < best_d2 || (d2 == best_d2 && idx < best)) {
             best_d2 = d2;
             best = idx;
           }

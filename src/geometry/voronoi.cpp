@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "geometry/segment.hpp"
@@ -101,7 +100,8 @@ double farthest_vertex2(const TaggedLoop& loop, Vec2 si) {
 /// two buffers instead of allocating per candidate. Returns true when the
 /// cell's enumeration is finished: a duplicate site ceded the cell, the
 /// remaining bisectors were pruned, or the loop degenerated. Shared
-/// verbatim by both construction modes so they stay bitwise-identical.
+/// verbatim by VoronoiDiagram and voronoi_cell so they stay
+/// bitwise-identical.
 bool feed_candidate(const std::vector<Vec2>& sites, std::size_t i, int j,
                     TaggedLoop& loop, TaggedLoop& scratch, bool& duplicate) {
   if (static_cast<std::size_t>(j) == i) return false;
@@ -126,70 +126,48 @@ bool feed_candidate(const std::vector<Vec2>& sites, std::size_t i, int j,
   return loop.vertices.size() < 3;
 }
 
-}  // namespace
-
-VoronoiDiagram::VoronoiDiagram(std::vector<Vec2> sites, double x0, double y0,
-                               double x1, double y1, VoronoiConstruction mode)
-    : sites_(std::move(sites)),
-      index_(sites_),
-      x0_(x0),
-      y0_(y0),
-      x1_(x1),
-      y1_(y1) {
-  if (x1_ <= x0_ || y1_ <= y0_)
-    throw std::invalid_argument("VoronoiDiagram: empty bounding box");
-  cells_.resize(sites_.size());
-  if (mode == VoronoiConstruction::kBruteForce)
-    build_brute_force();
-  else
-    build_indexed();
-}
-
-void VoronoiDiagram::build_cell(std::size_t i,
-                                const std::vector<int>& candidates) {
-  TaggedLoop loop = box_loop(x0_, y0_, x1_, y1_);
-  TaggedLoop scratch;
-  bool duplicate = false;
-  for (int j : candidates)
-    if (feed_candidate(sites_, i, j, loop, scratch, duplicate)) break;
-  VoronoiCell& cell = cells_[i];
+/// The finished cell: the clipped loop, or empty when a duplicate site
+/// ceded it.
+VoronoiCell finish_cell(std::size_t i, TaggedLoop& loop, bool duplicate) {
+  VoronoiCell cell;
   cell.site = static_cast<int>(i);
   if (!duplicate) {
     cell.vertices = std::move(loop.vertices);
     cell.edge_tags = std::move(loop.tags);
   }
+  return cell;
 }
 
-void VoronoiDiagram::build_brute_force() {
-  // Original construction: for each cell, sort the entire site array by
-  // distance and feed it through. O(n^2 log n); kept as the equivalence
-  // oracle and the micro_hotpaths baseline.
-  const std::size_t n = sites_.size();
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 si = sites_[i];
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const double da = (sites_[static_cast<std::size_t>(a)] - si).norm2();
-      const double db = (sites_[static_cast<std::size_t>(b)] - si).norm2();
-      return da < db || (da == db && a < b);
-    });
-    build_cell(i, order);
-  }
+}  // namespace
+
+VoronoiCell voronoi_cell(const std::vector<Vec2>& sites, std::size_t i,
+                         std::span<const int> nearest_first, double x0,
+                         double y0, double x1, double y1) {
+  TaggedLoop loop = box_loop(x0, y0, x1, y1);
+  TaggedLoop scratch;
+  bool duplicate = false;
+  for (int j : nearest_first)
+    if (feed_candidate(sites, i, j, loop, scratch, duplicate)) break;
+  return finish_cell(i, loop, duplicate);
 }
 
-void VoronoiDiagram::build_indexed() {
+VoronoiDiagram::VoronoiDiagram(std::vector<Vec2> sites, double x0, double y0,
+                               double x1, double y1)
+    : sites_(std::move(sites)), index_(sites_) {
+  if (x1 <= x0 || y1 <= y0)
+    throw std::invalid_argument("VoronoiDiagram: empty bounding box");
   // Ring-expanding enumeration over the spatial index: candidates arrive
   // in annulus batches of doubling radius, each batch sorted nearest-
   // first, until the pruning cut-off fires. Per cell this touches only
   // the local neighbourhood instead of sorting all n sites.
   const std::size_t n = sites_.size();
-  const double diag = std::hypot(x1_ - x0_, y1_ - y0_);
+  cells_.reserve(n);
+  const double diag = std::hypot(x1 - x0, y1 - y0);
   std::vector<int> batch;
   TaggedLoop scratch;  // Clip target, reused across every cell.
   for (std::size_t i = 0; i < n; ++i) {
     const Vec2 si = sites_[i];
-    TaggedLoop loop = box_loop(x0_, y0_, x1_, y1_);
+    TaggedLoop loop = box_loop(x0, y0, x1, y1);
     bool duplicate = false;
     bool done = false;
     double r_lo = -1.0;  // First batch includes distance-0 duplicates.
@@ -215,12 +193,7 @@ void VoronoiDiagram::build_indexed() {
       r_lo = r;
       r *= 2.0;
     }
-    VoronoiCell& cell = cells_[i];
-    cell.site = static_cast<int>(i);
-    if (!duplicate) {
-      cell.vertices = std::move(loop.vertices);
-      cell.edge_tags = std::move(loop.tags);
-    }
+    cells_.push_back(finish_cell(i, loop, duplicate));
   }
 }
 

@@ -342,62 +342,6 @@ int ContourMap::level_index(Vec2 q) const {
   return level;
 }
 
-StreamingSinkBuilder::StreamingSinkBuilder(FieldBounds bounds,
-                                           std::vector<double> isolevels,
-                                           RegulationMode mode)
-    : bounds_(bounds), mode_(mode), isolevels_(std::move(isolevels)) {
-  level_reports_.resize(isolevels_.size());
-  sorted_levels_.reserve(isolevels_.size());
-  for (std::size_t li = 0; li < isolevels_.size(); ++li)
-    if (!std::isnan(isolevels_[li]))
-      sorted_levels_.push_back(static_cast<int>(li));
-  std::sort(sorted_levels_.begin(), sorted_levels_.end(), [&](int a, int b) {
-    return isolevels_[static_cast<std::size_t>(a)] <
-           isolevels_[static_cast<std::size_t>(b)];
-  });
-}
-
-void StreamingSinkBuilder::consume(const IsolineReport& report) {
-  // The batch builder matched with |r.isolevel - level| < 1e-9; locate
-  // the candidate window [report.isolevel - tol, ...) by binary search
-  // and apply that exact predicate to each candidate, so membership is
-  // decided by the same comparison on the same doubles. Appending in
-  // consume order reproduces the per-level report order of the old
-  // level-by-level scan (both are report order within each level).
-  constexpr double kLevelTol = 1e-9;
-  if (std::isnan(report.isolevel)) return;
-  const auto begin = std::lower_bound(
-      sorted_levels_.begin(), sorted_levels_.end(),
-      report.isolevel - kLevelTol, [&](int li, double v) {
-        return isolevels_[static_cast<std::size_t>(li)] < v;
-      });
-  for (auto it = begin; it != sorted_levels_.end(); ++it) {
-    const double level = isolevels_[static_cast<std::size_t>(*it)];
-    if (!(level - report.isolevel < kLevelTol)) break;
-    if (std::abs(report.isolevel - level) < kLevelTol) {
-      level_reports_[static_cast<std::size_t>(*it)].push_back(report);
-      ++buffered_;
-    }
-  }
-}
-
-ContourMap StreamingSinkBuilder::finish() {
-  // Each level's Voronoi/regulation construction is independent; build
-  // them across the pool (each slot written by exactly one task, so the
-  // result is identical to the serial loop).
-  const std::size_t k = isolevels_.size();
-  std::vector<std::optional<LevelRegion>> slots(k);
-  exec::parallel_for(k, [&](std::size_t li) {
-    slots[li].emplace(isolevels_[li], std::move(level_reports_[li]), bounds_,
-                      mode_);
-  });
-  buffered_ = 0;
-  std::vector<LevelRegion> regions;
-  regions.reserve(k);
-  for (auto& slot : slots) regions.push_back(std::move(*slot));
-  return ContourMap(bounds_, std::move(regions));
-}
-
 ContourMapBuilder::ContourMapBuilder(FieldBounds bounds, RegulationMode mode)
     : bounds_(bounds), mode_(mode) {}
 
@@ -408,9 +352,52 @@ ContourMap ContourMapBuilder::build(const std::vector<IsolineReport>& reports,
   obs::PhaseTimer timer(obs::kPhaseMapGen);
   obs::count("map_gen.reports", static_cast<double>(reports.size()));
   obs::count("map_gen.levels", static_cast<double>(isolevels.size()));
-  StreamingSinkBuilder streaming(bounds_, isolevels, mode_);
-  for (const auto& r : reports) streaming.consume(r);
-  return streaming.finish();
+
+  // Level indices ordered by ascending isolevel (NaN levels excluded —
+  // they can never match), so each report binary-searches its candidate
+  // window [report.isolevel - tol, ...) instead of scanning every level.
+  // The exact predicate |report.isolevel - level| < tol still decides
+  // membership, on the same doubles; appending in report order keeps
+  // each level's reports in report order.
+  constexpr double kLevelTol = 1e-9;
+  const std::size_t k = isolevels.size();
+  std::vector<int> sorted_levels;
+  sorted_levels.reserve(k);
+  for (std::size_t li = 0; li < k; ++li)
+    if (!std::isnan(isolevels[li]))
+      sorted_levels.push_back(static_cast<int>(li));
+  std::sort(sorted_levels.begin(), sorted_levels.end(), [&](int a, int b) {
+    return isolevels[static_cast<std::size_t>(a)] <
+           isolevels[static_cast<std::size_t>(b)];
+  });
+  std::vector<std::vector<IsolineReport>> level_reports(k);
+  for (const auto& report : reports) {
+    if (std::isnan(report.isolevel)) continue;
+    const auto begin = std::lower_bound(
+        sorted_levels.begin(), sorted_levels.end(),
+        report.isolevel - kLevelTol, [&](int li, double v) {
+          return isolevels[static_cast<std::size_t>(li)] < v;
+        });
+    for (auto it = begin; it != sorted_levels.end(); ++it) {
+      const double level = isolevels[static_cast<std::size_t>(*it)];
+      if (!(level - report.isolevel < kLevelTol)) break;
+      if (std::abs(report.isolevel - level) < kLevelTol)
+        level_reports[static_cast<std::size_t>(*it)].push_back(report);
+    }
+  }
+
+  // Each level's Voronoi/regulation construction is independent; build
+  // them across the pool (each slot written by exactly one task, so the
+  // result is identical to the serial loop).
+  std::vector<std::optional<LevelRegion>> slots(k);
+  exec::parallel_for(k, [&](std::size_t li) {
+    slots[li].emplace(isolevels[li], std::move(level_reports[li]), bounds_,
+                      mode_);
+  });
+  std::vector<LevelRegion> regions;
+  regions.reserve(k);
+  for (auto& slot : slots) regions.push_back(std::move(*slot));
+  return ContourMap(bounds_, std::move(regions));
 }
 
 }  // namespace isomap

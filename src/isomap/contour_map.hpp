@@ -140,56 +140,18 @@ class ContourMap {
   std::vector<std::shared_ptr<const LevelRegion>> regions_;
 };
 
-/// Streaming sink-side map construction: reports are consumed one at a
-/// time into per-level buckets, and finish() assembles the stacked map
-/// from the buckets. The sink never needs the full report set *and* a
-/// per-level regrouping to coexist — its live memory is bounded by the
-/// delivered reports (O(sqrt(n) * levels)), which is what keeps a
-/// million-node round's sink footprint flat.
-///
-/// Identity contract: a report lands in exactly the buckets the batch
-/// builder's per-level scan (|report.isolevel - level| < 1e-9) put it in,
-/// in the same per-level order, so finish() builds bit-identical regions.
-class StreamingSinkBuilder {
- public:
-  StreamingSinkBuilder(FieldBounds bounds, std::vector<double> isolevels,
-                       RegulationMode mode = RegulationMode::kRules);
-
-  /// Bucket one report into every isolevel within the matching tolerance
-  /// (located by binary search over the sorted level view; the exact
-  /// batch-builder predicate decides membership).
-  void consume(const IsolineReport& report);
-
-  /// Reports currently buffered across all levels (a report matching m
-  /// levels counts m times) — the sink's live memory driver.
-  std::size_t buffered_reports() const { return buffered_; }
-
-  /// Build the stacked map from the buckets (one LevelRegion per level,
-  /// constructed across the exec pool). Consumes the buckets.
-  ContourMap finish();
-
- private:
-  FieldBounds bounds_;
-  RegulationMode mode_;
-  std::vector<double> isolevels_;
-  /// Level indices ordered by ascending isolevel (NaN levels excluded —
-  /// they can never match), so consume() binary-searches instead of
-  /// scanning every level per report.
-  std::vector<int> sorted_levels_;
-  std::vector<std::vector<IsolineReport>> level_reports_;
-  std::size_t buffered_ = 0;
-};
-
-/// Builds ContourMaps from sink-side report sets. A thin batch facade
-/// over StreamingSinkBuilder: build() streams the reports through it and
-/// finishes the map.
+/// Builds ContourMaps from sink-side report sets.
 class ContourMapBuilder {
  public:
   explicit ContourMapBuilder(FieldBounds bounds,
                              RegulationMode mode = RegulationMode::kRules);
 
   /// Group `reports` by isolevel (one LevelRegion per entry of
-  /// `isolevels`, ascending) and construct the stacked map.
+  /// `isolevels`, ascending) and construct the stacked map. A report
+  /// joins every level with |report.isolevel - level| < 1e-9, in report
+  /// order; the levels are built across the exec pool. The grouping
+  /// copies each report once per level it joins, beside the caller's
+  /// vector, so sink memory is O(delivered reports) plus the regions.
   ContourMap build(const std::vector<IsolineReport>& reports,
                    const std::vector<double>& isolevels) const;
 

@@ -130,18 +130,6 @@ NodeSelectionResult evaluate_node_selection(const CommGraph& graph,
   return result;
 }
 
-bool is_isoline_node(double reading,
-                     const std::vector<double>& neighbour_readings,
-                     double isolevel, double epsilon) {
-  if (!is_candidate(reading, isolevel, epsilon)) return false;
-  for (double nv : neighbour_readings) {
-    const bool crossing = (reading < isolevel && isolevel < nv) ||
-                          (nv < isolevel && isolevel < reading);
-    if (crossing) return true;
-  }
-  return false;
-}
-
 std::vector<SelectionEntry> select_isoline_nodes_adaptive(
     const CommGraph& graph, const Deployment& deployment,
     const std::vector<double>& readings, const ContourQuery& query,

@@ -90,8 +90,4 @@ std::pair<int, int> level_rank(const std::vector<double>& levels, double v);
 /// Candidate test for a single node/level (step 1 only); exposed for tests.
 bool is_candidate(double reading, double isolevel, double epsilon);
 
-/// Full isoline-node test for one node/level given neighbour readings.
-bool is_isoline_node(double reading, const std::vector<double>& neighbour_readings,
-                     double isolevel, double epsilon);
-
 }  // namespace isomap

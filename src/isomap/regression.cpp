@@ -56,27 +56,6 @@ PlanePositionStats plane_position_stats(
   return stats;
 }
 
-PlanePositionStats plane_position_stats(std::span<const double> xs,
-                                        std::span<const double> ys) {
-  PlanePositionStats stats;
-  stats.n = xs.size();
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    stats.mean.x += xs[i];
-    stats.mean.y += ys[i];
-  }
-  if (stats.n > 0) stats.mean *= 1.0 / static_cast<double>(stats.n);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double x = xs[i] - stats.mean.x;
-    const double y = ys[i] - stats.mean.y;
-    stats.sx += x;
-    stats.sy += y;
-    stats.sxx += x * x;
-    stats.sxy += x * y;
-    stats.syy += y * y;
-  }
-  return stats;
-}
-
 PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
                                   const PlanePositionStats& pos) {
   PlaneValueStats stats;
@@ -86,24 +65,6 @@ PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
     const double x = s.pos.x - pos.mean.x;
     const double y = s.pos.y - pos.mean.y;
     const double v = s.value - stats.mean_v;
-    stats.sv += v;
-    stats.sxv += x * v;
-    stats.syv += y * v;
-  }
-  return stats;
-}
-
-PlaneValueStats plane_value_stats(std::span<const double> xs,
-                                  std::span<const double> ys,
-                                  std::span<const double> vs,
-                                  const PlanePositionStats& pos) {
-  PlaneValueStats stats;
-  for (std::size_t i = 0; i < vs.size(); ++i) stats.mean_v += vs[i];
-  if (pos.n > 0) stats.mean_v *= 1.0 / static_cast<double>(pos.n);
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    const double x = xs[i] - pos.mean.x;
-    const double y = ys[i] - pos.mean.y;
-    const double v = vs[i] - stats.mean_v;
     stats.sv += v;
     stats.sxv += x * v;
     stats.syv += y * v;
@@ -200,12 +161,9 @@ std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
                                   double* ops) {
   // Scope-size and degeneracy metrics for the RunSummary (one registry
   // probe per fit; inert without an active obs scope).
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->add("regression.fits");
-    m->observe("regression.samples", static_cast<double>(samples.size()));
-  }
+  record_fit_metrics(samples.size());
   if (samples.size() < 3) {
-    obs::count("regression.degenerate");
+    record_degenerate_fit();
     return std::nullopt;
   }
 
@@ -213,31 +171,10 @@ std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
   const PlaneValueStats val = plane_value_stats(samples, pos);
   const auto fit = solve_plane(pos, val);
   if (!fit) {
-    obs::count("regression.degenerate");
+    record_degenerate_fit();
     return std::nullopt;
   }
   if (ops) *ops += fit_plane_ops(samples.size());
-  return fit;
-}
-
-std::optional<PlaneFit> fit_plane(std::span<const double> xs,
-                                  std::span<const double> ys,
-                                  std::span<const double> vs,
-                                  double* ops) {
-  record_fit_metrics(xs.size());
-  if (xs.size() < 3) {
-    record_degenerate_fit();
-    return std::nullopt;
-  }
-  // The fused batch kernel computes the identical sufficient statistics
-  // to the split plane_position_stats/plane_value_stats pair (see its
-  // header comment), so swapping it in changes no output bit.
-  const auto fit = fit_plane_soa(xs, ys, vs);
-  if (!fit) {
-    record_degenerate_fit();
-    return std::nullopt;
-  }
-  if (ops) *ops += fit_plane_ops(xs.size());
   return fit;
 }
 

@@ -55,23 +55,9 @@ struct PlaneValueStats {
 /// Accumulate the position block over `samples` in order.
 PlanePositionStats plane_position_stats(const std::vector<FieldSample>& samples);
 
-/// SoA variant: positions given as parallel coordinate arrays. Each
-/// accumulator adds the same addends in the same order as the AoS loop
-/// (vectorization happens across the independent sum chains and via unit-
-/// stride loads, never by reassociating within a chain), so the stats —
-/// and any fit solved from them — are bit-identical to the AoS path.
-PlanePositionStats plane_position_stats(std::span<const double> xs,
-                                        std::span<const double> ys);
-
 /// Accumulate the value block over `samples` in order, centring positions
 /// on `pos.mean`. The samples must be the ones `pos` was built from.
 PlaneValueStats plane_value_stats(const std::vector<FieldSample>& samples,
-                                  const PlanePositionStats& pos);
-
-/// SoA variant of plane_value_stats; bit-identical (see above).
-PlaneValueStats plane_value_stats(std::span<const double> xs,
-                                  std::span<const double> ys,
-                                  std::span<const double> vs,
                                   const PlanePositionStats& pos);
 
 /// Both sufficient-statistic blocks of one fit, computed together.
@@ -86,18 +72,20 @@ struct PlaneStats {
 /// accumulator chain still adds its own addend sequence in sample order —
 /// fusing interleaves *independent* chains, never reassociates within one
 /// — so each sum, and any fit solved from the blocks, is bit-identical to
-/// the split kernels. The loops are branch-free over raw contiguous
-/// arrays (no size checks inside, no indirect calls), which is what lets
-/// the compiler vectorize across the chains.
+/// the split kernels over the same samples. The loops are branch-free
+/// over raw contiguous arrays (no size checks inside, no indirect calls),
+/// which is what lets the compiler vectorize across the chains.
 PlaneStats plane_stats_batch(std::span<const double> xs,
                              std::span<const double> ys,
                              std::span<const double> vs);
 
 /// Pure SoA fit: plane_stats_batch + solve_plane, nothing else — no
 /// observability emission, no ops accounting, safe to call from exec pool
-/// workers. The parallel node phase fits with this and replays the
-/// instrumented fit_plane's metrics and ledger charge in its ordered
-/// merge via record_fit_metrics / record_degenerate_fit + fit_plane_ops.
+/// workers. Bit-identical to fit_plane on the same sample sequence. The
+/// protocol's node phase streams neighbour samples into flat scratch
+/// arrays, fits with this, and replays fit_plane's metrics and ledger
+/// charge in its ordered merge via record_fit_metrics /
+/// record_degenerate_fit + fit_plane_ops.
 std::optional<PlaneFit> fit_plane_soa(std::span<const double> xs,
                                       std::span<const double> ys,
                                       std::span<const double> vs);
@@ -135,16 +123,6 @@ inline double fit_plane_ops(std::size_t n_samples) {
 /// which the protocol charges to the node's compute ledger — this is the
 /// O(deg) per-isoline-node cost of Section 4.2.
 std::optional<PlaneFit> fit_plane(const std::vector<FieldSample>& samples,
-                                  double* ops = nullptr);
-
-/// SoA variant of fit_plane over parallel coordinate/value arrays (the
-/// protocol's gradient-fit hot loop streams neighbour samples into flat
-/// scratch arrays and fits from them without building FieldSample
-/// structs). Same observability emission, same ops charge, bit-identical
-/// result to the AoS overload on the same sample sequence.
-std::optional<PlaneFit> fit_plane(std::span<const double> xs,
-                                  std::span<const double> ys,
-                                  std::span<const double> vs,
                                   double* ops = nullptr);
 
 /// Solve a 3x3 linear system in-place by Gaussian elimination with partial

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "geometry/delaunay.hpp"
 #include "geometry/polygon.hpp"
+#include "oracle/delaunay.hpp"
 #include "util/rng.hpp"
 
-namespace isomap {
+namespace isomap::oracle {
 namespace {
 
 TEST(Circumcircle, KnownCircle) {
@@ -88,4 +88,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DelaunayProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
-}  // namespace isomap
+}  // namespace isomap::oracle

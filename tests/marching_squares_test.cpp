@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "field/gaussian_field.hpp"
 #include "field/grid_field.hpp"
 #include "geometry/marching_squares.hpp"
+#include "oracle/marching_squares.hpp"
+#include "util/rng.hpp"
 
 namespace isomap {
 namespace {
@@ -98,6 +102,67 @@ TEST(MarchingSquares, TooSmallGridThrows) {
   grid.ny = 5;
   grid.value = [](int, int) { return 0.0; };
   EXPECT_THROW(marching_squares(grid, 0.0), std::invalid_argument);
+}
+
+TEST(MarchingSquares, MatchesReferenceBitwise) {
+  // The row-cached, lazily interpolating kernel against the per-cell
+  // reference: same polylines, same order, same IEEE-754 bits. Values are
+  // quantised on some grids so corners land exactly on the isolevel, and
+  // some rows are constant (one of them at the isolevel itself).
+  Rng rng(2007);
+  int saddles5 = 0, saddles10 = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const int nx = 2 + static_cast<int>(rng.uniform_int(40));
+    const int ny = 2 + static_cast<int>(rng.uniform_int(40));
+    std::vector<double> values(static_cast<std::size_t>(nx) * ny);
+    for (double& v : values) v = rng.uniform();
+    if (trial % 3 == 1)
+      for (double& v : values) v = std::floor(v * 4.0) / 4.0;
+    if (trial % 3 == 2)
+      for (int iy = 0; iy < ny; iy += 2) {
+        const double row = iy % 4 == 0 ? 0.5 : rng.uniform();
+        for (int ix = 0; ix < nx; ++ix)
+          values[static_cast<std::size_t>(iy) * nx + ix] = row;
+      }
+    SampleGrid grid;
+    grid.nx = nx;
+    grid.ny = ny;
+    grid.origin = {rng.uniform(-5, 5), rng.uniform(-5, 5)};
+    grid.dx = rng.uniform(0.1, 2.0);
+    grid.dy = rng.uniform(0.1, 2.0);
+    grid.value = [&values, nx](int ix, int iy) {
+      return values[static_cast<std::size_t>(iy) * nx + ix];
+    };
+    for (const double level : {0.25, 0.5, 0.75}) {
+      for (int iy = 0; iy + 1 < ny; ++iy)
+        for (int ix = 0; ix + 1 < nx; ++ix) {
+          const int mask = (grid.value(ix, iy) >= level) |
+                           (grid.value(ix + 1, iy) >= level) << 1 |
+                           (grid.value(ix + 1, iy + 1) >= level) << 2 |
+                           (grid.value(ix, iy + 1) >= level) << 3;
+          saddles5 += mask == 5;
+          saddles10 += mask == 10;
+        }
+      const auto got = marching_squares(grid, level);
+      const auto want = oracle::marching_squares_reference(grid, level);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].closed(), want[c].closed()) << "trial " << trial;
+        ASSERT_EQ(got[c].points().size(), want[c].points().size())
+            << "trial " << trial << " chain " << c;
+        for (std::size_t i = 0; i < got[c].points().size(); ++i) {
+          const Vec2 a = got[c].points()[i];
+          const Vec2 b = want[c].points()[i];
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a.x),
+                    std::bit_cast<std::uint64_t>(b.x));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(a.y),
+                    std::bit_cast<std::uint64_t>(b.y));
+        }
+      }
+    }
+  }
+  EXPECT_GT(saddles5, 0);
+  EXPECT_GT(saddles10, 0);
 }
 
 class MarchingSquaresProperty : public ::testing::TestWithParam<int> {};

@@ -69,6 +69,18 @@ TEST(PointIndex, ExtentNearDoubleMaxKeepsCellsFinite) {
   EXPECT_EQ(index.nearest({-1e154, 1e150}), 2);
 }
 
+TEST(PointIndex, NearestWhenEveryDistanceOverflows) {
+  // Every squared distance from these queries overflows to inf; the index
+  // still answers with a point of the set.
+  PointIndex index({{-1.7e308, 0}, {1.7e308, 0}, {0, 0}});
+  for (const Vec2 q : {Vec2{1.6e308, 0}, Vec2{1e200, 0}}) {
+    const int got = index.nearest(q);
+    EXPECT_GE(got, 0) << q.x;
+    EXPECT_LT(got, 3) << q.x;
+  }
+  EXPECT_EQ(index.nearest({1, 0}), 2);
+}
+
 class PointIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PointIndexProperty, MatchesBruteForce) {

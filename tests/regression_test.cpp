@@ -7,6 +7,7 @@
 
 #include "field/gaussian_field.hpp"
 #include "isomap/regression.hpp"
+#include "oracle/regression.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -179,8 +180,8 @@ TEST_P(FitPlaneProperty, ResidualIsMinimal) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FitPlaneProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// The SoA overloads feed the protocol's gradient hot loop; their contract
-// is *bitwise* agreement with the AoS path on the same sample sequence,
+// fit_plane_soa feeds the protocol's gradient hot loop; its contract is
+// *bitwise* agreement with the AoS fit_plane on the same sample sequence,
 // not merely numerical closeness — the golden capsules depend on it.
 
 std::tuple<std::vector<FieldSample>, std::vector<double>, std::vector<double>,
@@ -199,26 +200,40 @@ split_samples(int n, Rng& rng) {
   return {aos, xs, ys, vs};
 }
 
+void expect_same_position_stats(const PlanePositionStats& a,
+                                const PlanePositionStats& b, int n) {
+  EXPECT_EQ(a.n, b.n) << "n=" << n;
+  EXPECT_EQ(a.mean.x, b.mean.x) << "n=" << n;
+  EXPECT_EQ(a.mean.y, b.mean.y) << "n=" << n;
+  EXPECT_EQ(a.sx, b.sx) << "n=" << n;
+  EXPECT_EQ(a.sy, b.sy) << "n=" << n;
+  EXPECT_EQ(a.sxx, b.sxx) << "n=" << n;
+  EXPECT_EQ(a.sxy, b.sxy) << "n=" << n;
+  EXPECT_EQ(a.syy, b.syy) << "n=" << n;
+}
+
+void expect_same_value_stats(const PlaneValueStats& a,
+                             const PlaneValueStats& b, int n) {
+  EXPECT_EQ(a.mean_v, b.mean_v) << "n=" << n;
+  EXPECT_EQ(a.sv, b.sv) << "n=" << n;
+  EXPECT_EQ(a.sxv, b.sxv) << "n=" << n;
+  EXPECT_EQ(a.syv, b.syv) << "n=" << n;
+}
+
 TEST(FitPlaneSoA, StatsBitwiseIdenticalToAoS) {
+  // The AoS split path is the reference: the fused plane_stats_batch and
+  // the oracle's unfused SoA split kernels must both reproduce it.
   Rng rng(71);
   for (const int n : {3, 4, 7, 16, 33, 60}) {
     const auto [aos, xs, ys, vs] = split_samples(n, rng);
     const PlanePositionStats pa = plane_position_stats(aos);
-    const PlanePositionStats ps = plane_position_stats(xs, ys);
-    EXPECT_EQ(pa.n, ps.n);
-    EXPECT_EQ(pa.mean.x, ps.mean.x);
-    EXPECT_EQ(pa.mean.y, ps.mean.y);
-    EXPECT_EQ(pa.sx, ps.sx);
-    EXPECT_EQ(pa.sy, ps.sy);
-    EXPECT_EQ(pa.sxx, ps.sxx);
-    EXPECT_EQ(pa.sxy, ps.sxy);
-    EXPECT_EQ(pa.syy, ps.syy);
     const PlaneValueStats va = plane_value_stats(aos, pa);
-    const PlaneValueStats vsoa = plane_value_stats(xs, ys, vs, ps);
-    EXPECT_EQ(va.mean_v, vsoa.mean_v);
-    EXPECT_EQ(va.sv, vsoa.sv);
-    EXPECT_EQ(va.sxv, vsoa.sxv);
-    EXPECT_EQ(va.syv, vsoa.syv);
+    const PlaneStats batch = plane_stats_batch(xs, ys, vs);
+    expect_same_position_stats(pa, batch.pos, n);
+    expect_same_value_stats(va, batch.val, n);
+    const PlanePositionStats ps = oracle::plane_position_stats(xs, ys);
+    expect_same_position_stats(pa, ps, n);
+    expect_same_value_stats(va, oracle::plane_value_stats(xs, ys, vs, ps), n);
   }
 }
 
@@ -227,12 +242,14 @@ TEST(FitPlaneSoA, FitBitwiseIdenticalToAoS) {
   for (int trial = 0; trial < 50; ++trial) {
     const int n = 3 + static_cast<int>(rng.uniform_int(40));
     const auto [aos, xs, ys, vs] = split_samples(n, rng);
-    double ops_a = 0.0, ops_s = 0.0;
-    const auto fit_a = fit_plane(aos, &ops_a);
-    const auto fit_s = fit_plane(xs, ys, vs, &ops_s);
+    double ops = 0.0;
+    const auto fit_a = fit_plane(aos, &ops);
+    const auto fit_s = fit_plane_soa(xs, ys, vs);
     ASSERT_EQ(fit_a.has_value(), fit_s.has_value()) << "trial " << trial;
-    EXPECT_EQ(ops_a, ops_s);
     if (!fit_a) continue;
+    // The protocol charges fit_plane_ops(n) beside fit_plane_soa; it must
+    // be the charge fit_plane itself makes.
+    EXPECT_EQ(ops, fit_plane_ops(aos.size())) << "trial " << trial;
     EXPECT_EQ(fit_a->c0, fit_s->c0) << "trial " << trial;
     EXPECT_EQ(fit_a->c1, fit_s->c1) << "trial " << trial;
     EXPECT_EQ(fit_a->c2, fit_s->c2) << "trial " << trial;
@@ -241,18 +258,27 @@ TEST(FitPlaneSoA, FitBitwiseIdenticalToAoS) {
 
 TEST(FitPlaneSoA, DegenerateCasesAgree) {
   // Too few samples and collinear positions must fail on both paths.
-  EXPECT_FALSE(fit_plane(std::span<const double>{}, {}, {}).has_value());
-  const std::vector<double> one_x{1.0}, one_y{2.0}, one_v{3.0};
-  EXPECT_FALSE(fit_plane(std::span<const double>(one_x), one_y, one_v)
-                   .has_value());
+  const std::vector<double> xs3{0.0, 1.0, 2.0}, ys3{0.0, 3.0, 1.0},
+      vs3{1.0, 2.0, 3.0};
+  for (std::size_t n = 0; n < 3; ++n) {
+    const std::span<const double> x(xs3.data(), n), y(ys3.data(), n),
+        v(vs3.data(), n);
+    EXPECT_FALSE(fit_plane_soa(x, y, v).has_value()) << "n=" << n;
+    std::vector<FieldSample> aos;
+    for (std::size_t i = 0; i < n; ++i) aos.push_back({{x[i], y[i]}, v[i]});
+    EXPECT_FALSE(fit_plane(aos).has_value()) << "n=" << n;
+  }
+  EXPECT_TRUE(fit_plane_soa(xs3, ys3, vs3).has_value());
   std::vector<double> xs, ys, vs;
+  std::vector<FieldSample> aos;
   for (double x : {0.0, 1.0, 2.0, 3.0, 4.0}) {
     xs.push_back(x);
     ys.push_back(2.0 * x);
     vs.push_back(x);
+    aos.push_back({{x, 2.0 * x}, x});
   }
-  EXPECT_FALSE(
-      fit_plane(std::span<const double>(xs), ys, vs).has_value());
+  EXPECT_FALSE(fit_plane_soa(xs, ys, vs).has_value());
+  EXPECT_FALSE(fit_plane(aos).has_value());
 }
 
 }  // namespace

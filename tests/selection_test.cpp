@@ -4,6 +4,7 @@
 #include <set>
 
 #include "isomap/node_selection.hpp"
+#include "oracle/node_selection.hpp"
 #include "sim/scenario.hpp"
 
 namespace isomap {
@@ -19,24 +20,24 @@ TEST(Candidate, BorderRegionBounds) {
 
 TEST(IsIsolineNode, RequiresBothConditions) {
   // Condition 1 fails: reading far from the level.
-  EXPECT_FALSE(is_isoline_node(8.0, {12.0}, 10.0, 0.5));
+  EXPECT_FALSE(oracle::is_isoline_node(8.0, {12.0}, 10.0, 0.5));
   // Condition 2 fails: no neighbour across the level.
-  EXPECT_FALSE(is_isoline_node(9.8, {9.5, 9.9}, 10.0, 0.5));
+  EXPECT_FALSE(oracle::is_isoline_node(9.8, {9.5, 9.9}, 10.0, 0.5));
   // Both hold: reading just below, neighbour above.
-  EXPECT_TRUE(is_isoline_node(9.8, {10.4}, 10.0, 0.5));
+  EXPECT_TRUE(oracle::is_isoline_node(9.8, {10.4}, 10.0, 0.5));
   // Symmetric: reading just above, neighbour below.
-  EXPECT_TRUE(is_isoline_node(10.2, {9.7}, 10.0, 0.5));
+  EXPECT_TRUE(oracle::is_isoline_node(10.2, {9.7}, 10.0, 0.5));
 }
 
 TEST(IsIsolineNode, StrictCrossingExcludesEqualValues) {
   // The definition requires lambda strictly between the readings.
-  EXPECT_FALSE(is_isoline_node(10.0, {10.0}, 10.0, 0.5));
-  EXPECT_FALSE(is_isoline_node(9.9, {10.0}, 10.0, 0.5));
-  EXPECT_TRUE(is_isoline_node(9.9, {10.01}, 10.0, 0.5));
+  EXPECT_FALSE(oracle::is_isoline_node(10.0, {10.0}, 10.0, 0.5));
+  EXPECT_FALSE(oracle::is_isoline_node(9.9, {10.0}, 10.0, 0.5));
+  EXPECT_TRUE(oracle::is_isoline_node(9.9, {10.01}, 10.0, 0.5));
 }
 
 TEST(IsIsolineNode, NoNeighboursNeverSelected) {
-  EXPECT_FALSE(is_isoline_node(10.0, {}, 10.0, 0.5));
+  EXPECT_FALSE(oracle::is_isoline_node(10.0, {}, 10.0, 0.5));
 }
 
 Scenario default_scenario(int n, std::uint64_t seed,
@@ -49,22 +50,27 @@ Scenario default_scenario(int n, std::uint64_t seed,
 }
 
 TEST(SelectIsolineNodes, SelectedNodesSatisfyDefinition) {
+  // The selected (node, level) pairs are exactly those Definition 3.1,
+  // read straight off the paper, admits: none missing, none extra.
   const Scenario s = default_scenario(2500, 1);
   const ContourQuery query = default_query(s.field);
   const auto selected = select_isoline_nodes(s.graph, s.readings, query);
   ASSERT_FALSE(selected.empty());
-  const double eps = query.epsilon();
-  for (const auto& entry : selected) {
-    const double v = s.readings[static_cast<std::size_t>(entry.node)];
-    EXPECT_LE(std::abs(v - entry.isolevel), eps + 1e-12);
-    bool crossing = false;
-    for (int nb : s.graph.neighbours(entry.node)) {
-      const double nv = s.readings[static_cast<std::size_t>(nb)];
-      crossing |= (v < entry.isolevel && entry.isolevel < nv) ||
-                  (nv < entry.isolevel && entry.isolevel < v);
-    }
-    EXPECT_TRUE(crossing);
+  std::set<std::pair<int, double>> got;
+  for (const auto& entry : selected) got.insert({entry.node, entry.isolevel});
+  std::set<std::pair<int, double>> want;
+  for (int node = 0; node < s.graph.size(); ++node) {
+    if (!s.graph.alive(node)) continue;
+    std::vector<double> neighbour_readings;
+    for (int nb : s.graph.neighbours(node))
+      neighbour_readings.push_back(s.readings[static_cast<std::size_t>(nb)]);
+    for (const double level : query.isolevels())
+      if (oracle::is_isoline_node(s.readings[static_cast<std::size_t>(node)],
+                                  neighbour_readings, level, query.epsilon()))
+        want.insert({node, level});
   }
+  EXPECT_EQ(got.size(), selected.size()) << "duplicate selection entries";
+  EXPECT_EQ(got, want);
 }
 
 TEST(SelectIsolineNodes, LargerEpsilonSelectsMore) {
@@ -216,36 +222,6 @@ TEST(LevelRank, CountsStrictAndInclusiveRelations) {
             level_rank(levels, std::nextafter(20.0, 0.0)));
 }
 
-/// The pre-window full scan of Definition 3.1 — the reference the banded
-/// kernel must reproduce term for term (admissions, candidates, ops).
-NodeSelectionResult full_scan_selection(const CommGraph& graph,
-                                        const std::vector<double>& readings,
-                                        int node,
-                                        const std::vector<double>& levels,
-                                        double epsilon,
-                                        std::vector<int>& admitted) {
-  admitted.clear();
-  NodeSelectionResult result;
-  const double v = readings[static_cast<std::size_t>(node)];
-  result.ops = static_cast<double>(levels.size());
-  for (std::size_t li = 0; li < levels.size(); ++li) {
-    const double lambda = levels[li];
-    if (!is_candidate(v, lambda, epsilon)) continue;
-    ++result.candidates;
-    bool crossing = false;
-    for (int nb : graph.neighbours(node)) {
-      result.ops += 2.0;
-      const double nv = readings[static_cast<std::size_t>(nb)];
-      if ((v < lambda && lambda < nv) || (nv < lambda && lambda < v)) {
-        crossing = true;
-        break;
-      }
-    }
-    if (crossing) admitted.push_back(static_cast<int>(li));
-  }
-  return result;
-}
-
 TEST(BandedSelection, MatchesFullScanIncludingBandEdges) {
   // Readings seeded uniformly plus a heavy dose of exact band-edge and
   // exact-level values (including one-ulp perturbations): the banded
@@ -277,7 +253,8 @@ TEST(BandedSelection, MatchesFullScanIncludingBandEdges) {
     const NodeSelectionResult got =
         evaluate_node_selection(s.graph, readings, node, levels, eps, banded);
     const NodeSelectionResult want =
-        full_scan_selection(s.graph, readings, node, levels, eps, reference);
+        oracle::full_scan_selection(s.graph, readings, node, levels, eps,
+                                    reference);
     EXPECT_EQ(banded, reference) << "node " << node;
     EXPECT_EQ(got.candidates, want.candidates) << "node " << node;
     EXPECT_DOUBLE_EQ(got.ops, want.ops) << "node " << node;

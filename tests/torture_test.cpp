@@ -10,10 +10,10 @@
 
 #include "eval/metrics.hpp"
 #include "field/grid_field.hpp"
-#include "geometry/delaunay.hpp"
 #include "geometry/marching_squares.hpp"
 #include "geometry/point_index.hpp"
 #include "geometry/voronoi.hpp"
+#include "oracle/delaunay.hpp"
 #include "sim/runners.hpp"
 
 namespace isomap {
@@ -72,7 +72,7 @@ TEST_P(Torture, DelaunayOnLatticeDoesNotLosePoints) {
   for (int r = 0; r < side; ++r)
     for (int c = 0; c < side; ++c)
       points.push_back({static_cast<double>(c), static_cast<double>(r)});
-  const DelaunayTriangulation dt(points);
+  const oracle::DelaunayTriangulation dt(points);
   // Hull area (side-1)^2 must be fully covered despite all the
   // cocircular quadruples.
   double area = 0.0;

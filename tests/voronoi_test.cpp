@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "geometry/delaunay.hpp"
 #include "geometry/voronoi.hpp"
+#include "oracle/delaunay.hpp"
+#include "oracle/voronoi.hpp"
 #include "util/rng.hpp"
 
 namespace isomap {
@@ -107,7 +108,7 @@ TEST_P(VoronoiProperty, AdjacentCellsAreDelaunayNeighbours) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 300);
   const auto sites = random_sites(rng, 20, 2.0, 18.0);
   VoronoiDiagram vd(sites, 0, 0, 20, 20);
-  DelaunayTriangulation dt(sites);
+  oracle::DelaunayTriangulation dt(sites);
   int checked = 0;
   for (std::size_t i = 0; i < sites.size(); ++i) {
     for (int j : vd.cell(i).neighbours()) {
@@ -133,15 +134,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VoronoiProperty,
 // order through the same clipping arithmetic.
 void expect_identical_diagrams(const std::vector<Vec2>& sites, double x0,
                                double y0, double x1, double y1) {
-  const VoronoiDiagram indexed(sites, x0, y0, x1, y1,
-                               VoronoiConstruction::kIndexed);
-  const VoronoiDiagram brute(sites, x0, y0, x1, y1,
-                             VoronoiConstruction::kBruteForce);
+  const VoronoiDiagram indexed(sites, x0, y0, x1, y1);
+  const std::vector<VoronoiCell> brute =
+      oracle::brute_force_voronoi_cells(sites, x0, y0, x1, y1);
   ASSERT_EQ(indexed.size(), brute.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
-    EXPECT_EQ(indexed.cell(i).vertices, brute.cell(i).vertices)
+    EXPECT_EQ(indexed.cell(i).site, brute[i].site) << "cell " << i;
+    EXPECT_EQ(indexed.cell(i).vertices, brute[i].vertices)
         << "cell " << i << " vertices differ";
-    EXPECT_EQ(indexed.cell(i).edge_tags, brute.cell(i).edge_tags)
+    EXPECT_EQ(indexed.cell(i).edge_tags, brute[i].edge_tags)
         << "cell " << i << " tags differ";
   }
 }

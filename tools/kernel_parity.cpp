@@ -9,7 +9,8 @@
 // compiler transform the flags toggle.
 //
 // The tool also checks each batch kernel against its scalar oracle
-// in-process and exits 1 on any mismatch, so a single build already
+// in-process (the reference implementations in tests/oracle, linked as
+// isomap_oracle) and exits 1 on any mismatch, so a single build already
 // catches batch-vs-scalar divergence; the double-build diff adds the
 // flag-sensitivity axis.
 
@@ -23,6 +24,7 @@
 #include "field/bathymetry.hpp"
 #include "geometry/marching_squares.hpp"
 #include "isomap/regression.hpp"
+#include "oracle/marching_squares.hpp"
 #include "sim/runners.hpp"
 #include "sim/scenario.hpp"
 
@@ -148,7 +150,7 @@ void marching_parity() {
   Fnv fp;
   for (const double isolevel : {0.25, 0.5, 0.75}) {
     const auto fast = marching_squares(grid, isolevel);
-    const auto ref = marching_squares_reference(grid, isolevel);
+    const auto ref = oracle::marching_squares_reference(grid, isolevel);
     bool match = fast.size() == ref.size();
     for (std::size_t p = 0; match && p < fast.size(); ++p) {
       match = fast[p].points().size() == ref[p].points().size() &&
