@@ -117,14 +117,6 @@ void ContinuousMapper::ensure_tables() {
     level_cache_.assign(static_cast<std::size_t>(num_levels_), LevelCache{});
 }
 
-int ContinuousMapper::level_index_of(double lambda) const {
-  const auto it =
-      std::lower_bound(isolevels_.begin(), isolevels_.end(), lambda - 1e-9);
-  if (it != isolevels_.end() && std::abs(*it - lambda) < 1e-9)
-    return static_cast<int>(it - isolevels_.begin());
-  return -1;
-}
-
 double ContinuousMapper::route_bytes(int from, double bytes,
                                      Ledger& ledger) const {
   const auto path = tree_->path_to_sink(from);
@@ -292,69 +284,44 @@ std::optional<Vec2> ContinuousMapper::gradient_for(
   return grad_value_[u];
 }
 
-ContourMap ContinuousMapper::build_map_incremental(
-    const std::vector<IsolineReport>& reports) {
+ContourMap ContinuousMapper::build_map_incremental(std::size_t report_count) {
   obs::PhaseTimer timer(obs::kPhaseMapGen);
-  obs::count("map_gen.reports", static_cast<double>(reports.size()));
+  obs::count("map_gen.reports", static_cast<double>(report_count));
   obs::count("map_gen.levels", static_cast<double>(num_levels_));
   const FieldBounds bounds = deployment_->bounds();
   const auto k = static_cast<std::size_t>(num_levels_);
 
-  // Group by level exactly as ContourMapBuilder::build does — but via
-  // binary search per report instead of a level x report sweep. Levels
-  // are at least one granularity step apart (>> the 1e-9 tolerance), so
-  // each report matches at most one level, and per-level report order is
-  // the incoming order either way. The grouping vectors are member
-  // scratch so their capacity survives across rounds.
-  if (level_scratch_.size() != k) level_scratch_.assign(k, {});
-  std::vector<std::vector<IsolineReport>>& level_reports = level_scratch_;
-  for (auto& group : level_reports) group.clear();
-  for (const auto& r : reports) {
-    const int li = level_index_of(r.isolevel);
-    if (li >= 0) level_reports[static_cast<std::size_t>(li)].push_back(r);
-  }
-
-  // Fingerprint each level's post-filter report set; a level whose set
-  // is unchanged (fingerprint pre-filter, exact comparison as the
-  // authority) reuses its cached region — LevelRegion construction is a
-  // pure function of (isolevel, reports, bounds, mode).
+  // A level whose post-filter report set is unchanged (fingerprint
+  // pre-filter, exact comparison as the authority) reuses its cached
+  // region — LevelRegion construction is a pure function of (isolevel,
+  // reports, bounds, mode).
   std::vector<std::size_t> dirty;
-  std::vector<std::uint64_t> fingerprints(k);
   for (std::size_t li = 0; li < k; ++li) {
-    fingerprints[li] = fingerprint_reports(level_reports[li]);
-    LevelCache& lc = level_cache_[li];
-    if (lc.valid && lc.fingerprint == fingerprints[li] &&
-        report_sets_equal(lc.reports, level_reports[li]))
+    const LevelCache& lc = level_cache_[li];
+    if (lc.region && lc.fingerprint == last_fingerprints_[li] &&
+        report_sets_equal(lc.region->reports(), level_scratch_[li]))
       continue;
     dirty.push_back(li);
   }
-  last_fingerprints_ = fingerprints;
   obs::count("continuous.levels_rebuilt", static_cast<double>(dirty.size()));
 
-  // Rebuild dirty levels across the pool: each slot is written by
+  // Rebuild dirty levels across the pool: each cache slot is written by
   // exactly one task, so the result matches the serial loop bit for bit
   // (the exec determinism contract ContourMapBuilder relies on too).
   // Pool dispatch costs more than a couple of small region builds, so a
   // near-clean round stays on this thread. Either path constructs each
   // level independently, so the result is identical.
-  std::vector<std::shared_ptr<const LevelRegion>> built(dirty.size());
   const auto build_one = [&](std::size_t i) {
     const std::size_t li = dirty[i];
-    built[i] = std::make_shared<const LevelRegion>(
-        isolevels_[li], level_reports[li], bounds, options_.base.regulation);
+    level_cache_[li] = {last_fingerprints_[li],
+                        std::make_shared<const LevelRegion>(
+                            isolevels_[li], std::move(level_scratch_[li]),
+                            bounds, options_.base.regulation)};
   };
   if (dirty.size() <= 4) {
     for (std::size_t i = 0; i < dirty.size(); ++i) build_one(i);
   } else {
     exec::parallel_for(dirty.size(), build_one);
-  }
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    const std::size_t li = dirty[i];
-    LevelCache& lc = level_cache_[li];
-    lc.valid = true;
-    lc.fingerprint = fingerprints[li];
-    lc.reports = std::move(level_reports[li]);
-    lc.region = std::move(built[i]);
   }
 
   // Assemble by reference: clean levels share the cached region with the
@@ -502,8 +469,7 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
 
   select_timer.stop();
 
-  RoundResult result{.map = ContourMap(deployment_->bounds(),
-                                       std::vector<LevelRegion>{})};
+  RoundResult result{.map = ContourMap(deployment_->bounds(), {})};
   obs::PhaseTimer route_timer(obs::kPhaseReportRoute);
   const double refresh_rad = options_.gradient_refresh_deg * M_PI / 180.0;
   // now_memory_ still holds the round-before-last entries (the tables are
@@ -517,7 +483,7 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
     const auto& entry = selected[si];
     if (!tree_->reachable(entry.node)) continue;
     const int level = incremental ? selected_levels[si]
-                                  : level_index_of(entry.isolevel);
+                                  : isolevel_index(isolevels_, entry.isolevel);
     if (level < 0) continue;
     const auto gradient_opt = gradient_for(entry.node, readings, ledger);
     if (!gradient_opt) continue;
@@ -612,35 +578,22 @@ RoundResult ContinuousMapper::round(const std::vector<double>& readings,
   route_timer.stop();
 
   // --- Sink rebuild: spatial filter, then map construction. ---
-  std::vector<IsolineReport> reports;
-  reports.reserve(static_cast<std::size_t>(sink_count_));
-  for (const std::size_t key : sink_keys_)
-    reports.push_back(sink_table_[key].report);
-  if (query.enable_filtering) {
-    const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
-    const InNetworkFilter filter = InNetworkFilter::from_query(query);
-    reports = filter.filter(std::move(reports));
-  }
+  const std::vector<IsolineReport> reports = post_filter_reports();
   result.active_reports = sink_count_;
   result.beacon_traffic_bytes = beacon_bytes;
+  // Both engines group and fingerprint here, with no obs emission, so
+  // level_fingerprints() is engine-independent. The incremental engine
+  // builds from these groups; the oracle regroups inside build().
+  group_by_level(reports, isolevels_, level_scratch_);
+  last_fingerprints_.resize(level_scratch_.size());
+  for (std::size_t li = 0; li < level_scratch_.size(); ++li)
+    last_fingerprints_[li] = fingerprint_reports(level_scratch_[li]);
   if (incremental) {
-    result.map = build_map_incremental(reports);
+    result.map = build_map_incremental(reports.size());
     prev_readings_ = std::move(readings);
     caches_primed_ = true;
   } else {
     obs::count("continuous.levels_rebuilt", static_cast<double>(num_levels_));
-    // Group-and-fingerprint exactly as build_map_incremental does, so
-    // level_fingerprints() is engine-independent. Pure bookkeeping: no
-    // obs emission, no effect on the map or the ledger.
-    std::vector<std::vector<IsolineReport>> groups(
-        static_cast<std::size_t>(num_levels_));
-    for (const auto& r : reports) {
-      const int li = level_index_of(r.isolevel);
-      if (li >= 0) groups[static_cast<std::size_t>(li)].push_back(r);
-    }
-    last_fingerprints_.resize(groups.size());
-    for (std::size_t li = 0; li < groups.size(); ++li)
-      last_fingerprints_[li] = fingerprint_reports(groups[li]);
     result.map = ContourMapBuilder(deployment_->bounds(),
                                    options_.base.regulation)
                      .build(reports, isolevels_);
@@ -654,8 +607,10 @@ std::vector<IsolineReport> ContinuousMapper::post_filter_reports() const {
   for (const std::size_t key : sink_keys_)
     reports.push_back(sink_table_[key].report);
   const ContourQuery& query = options_.base.query;
-  if (query.enable_filtering)
+  if (query.enable_filtering) {
+    const obs::PhaseTimer filter_timer(obs::kPhaseFilter);
     reports = InNetworkFilter::from_query(query).filter(std::move(reports));
+  }
   return reports;
 }
 

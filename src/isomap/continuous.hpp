@@ -149,9 +149,11 @@ class ContinuousMapper {
 
   /// The current sink table flattened to the post-filter report list, in
   /// the exact (node, level) order and with the exact filter decisions
-  /// round() feeds its map build. ContourMapBuilder::build over this list
-  /// reproduces the last round's map bit for bit — the service's oracle
-  /// mode rebuilds from it and diffs the bytes. Emits no obs phases.
+  /// round() feeds its map build — round() takes its list from here.
+  /// ContourMapBuilder::build over this list reproduces the last round's
+  /// map bit for bit; the service's oracle mode rebuilds from it and
+  /// diffs the bytes. Times the filter as the kPhaseFilter phase, which
+  /// emits nothing under an empty obs scope.
   std::vector<IsolineReport> post_filter_reports() const;
 
  private:
@@ -194,12 +196,10 @@ class ContinuousMapper {
   };
 
   /// Cached sink-side contour region for one isolevel, keyed by the
-  /// fingerprint (and, authoritatively, the retained copy) of the
-  /// level's post-filter report set.
+  /// fingerprint of the level's post-filter report set; the region's own
+  /// reports() are the authoritative comparison. Empty until built.
   struct LevelCache {
-    bool valid = false;
     std::uint64_t fingerprint = 0;
-    std::vector<IsolineReport> reports;
     /// Shared with every ContourMap that reused this level: LevelRegion
     /// is immutable after construction, so clean rounds hand the map a
     /// reference instead of a deep copy.
@@ -211,10 +211,6 @@ class ContinuousMapper {
                static_cast<std::size_t>(num_levels_) +
            static_cast<std::size_t>(level);
   }
-
-  /// Index of `lambda` in isolevels_ (1e-9 tolerance), by binary search
-  /// over the ascending level list; -1 when absent.
-  int level_index_of(double lambda) const;
 
   double route_bytes(int from, double bytes, Ledger& ledger) const;
 
@@ -240,10 +236,11 @@ class ContinuousMapper {
   void replay_fit_metrics(std::size_t num_samples);
   void replay_degenerate_metric();
 
-  /// Incremental sink phase: group the post-filter reports per level,
-  /// fingerprint each group, rebuild only dirty levels (in parallel) and
-  /// reuse cached regions for the rest.
-  ContourMap build_map_incremental(const std::vector<IsolineReport>& reports);
+  /// Incremental sink phase over the round's level_scratch_ groups and
+  /// last_fingerprints_: rebuild only dirty levels (in parallel), moving
+  /// each dirty group into its region, and reuse cached regions for the
+  /// rest. `report_count` is the post-filter total, for the counters.
+  ContourMap build_map_incremental(std::size_t report_count);
 
   ContinuousOptions options_;
   const Deployment* deployment_;
@@ -308,7 +305,7 @@ class ContinuousMapper {
   std::vector<std::size_t> now_keys_;  ///< Slots written this round.
   std::vector<int> grad_round_;   ///< Per-node round stamp of grad_value_.
   std::vector<Vec2> grad_value_;  ///< Per-round gradient memo.
-  /// Per-level report grouping scratch for build_map_incremental.
+  /// This round's post-filter reports grouped by level (group_by_level).
   std::vector<std::vector<IsolineReport>> level_scratch_;
 };
 

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
 #include <optional>
+#include <stdexcept>
 
 #include "exec/exec.hpp"
 #include "geometry/segment.hpp"
+#include "isomap/query.hpp"
 #include "obs/obs.hpp"
 
 namespace isomap {
@@ -274,14 +275,6 @@ void LevelRegion::build_boundaries() {
   boundaries_ = stitch_segments(segments, 1e-6 * span);
 }
 
-ContourMap::ContourMap(FieldBounds bounds, std::vector<LevelRegion> regions)
-    : bounds_(bounds) {
-  regions_.reserve(regions.size());
-  for (auto& region : regions)
-    regions_.push_back(
-        std::make_shared<const LevelRegion>(std::move(region)));
-}
-
 ContourMap::ContourMap(FieldBounds bounds,
                        std::vector<std::shared_ptr<const LevelRegion>> regions)
     : bounds_(bounds), regions_(std::move(regions)) {}
@@ -342,61 +335,55 @@ int ContourMap::level_index(Vec2 q) const {
   return level;
 }
 
+int isolevel_index(std::span<const double> isolevels, double level) {
+  // The window [level - tol, level + tol) holds at most one entry of a
+  // separated list, but level - tol may round below an entry that does
+  // not match, so the whole window is scanned.
+  for (auto it = std::lower_bound(isolevels.begin(), isolevels.end(),
+                                  level - kIsolevelTolerance);
+       it != isolevels.end() && *it - level < kIsolevelTolerance; ++it)
+    if (std::abs(level - *it) < kIsolevelTolerance)
+      return static_cast<int>(it - isolevels.begin());
+  return -1;
+}
+
+void group_by_level(std::span<const IsolineReport> reports,
+                    std::span<const double> isolevels,
+                    std::vector<std::vector<IsolineReport>>& groups) {
+  groups.resize(isolevels.size());
+  for (auto& group : groups) group.clear();
+  for (const auto& report : reports) {
+    const int li = isolevel_index(isolevels, report.isolevel);
+    if (li >= 0) groups[static_cast<std::size_t>(li)].push_back(report);
+  }
+}
+
 ContourMapBuilder::ContourMapBuilder(FieldBounds bounds, RegulationMode mode)
     : bounds_(bounds), mode_(mode) {}
 
 ContourMap ContourMapBuilder::build(const std::vector<IsolineReport>& reports,
                                     const std::vector<double>& isolevels) const {
+  for (std::size_t li = 1; li < isolevels.size(); ++li)
+    if (!isolevels_separated(isolevels[li - 1], isolevels[li]))
+      throw std::invalid_argument(
+          "ContourMapBuilder::build: isolevels must ascend by more than "
+          "twice the match tolerance");
   // Sink-side construction: wall time per level is the observable; no
   // ledger charge (the sink is a powered host).
   obs::PhaseTimer timer(obs::kPhaseMapGen);
   obs::count("map_gen.reports", static_cast<double>(reports.size()));
   obs::count("map_gen.levels", static_cast<double>(isolevels.size()));
 
-  // Level indices ordered by ascending isolevel (NaN levels excluded —
-  // they can never match), so each report binary-searches its candidate
-  // window [report.isolevel - tol, ...) instead of scanning every level.
-  // The exact predicate |report.isolevel - level| < tol still decides
-  // membership, on the same doubles; appending in report order keeps
-  // each level's reports in report order.
-  constexpr double kLevelTol = 1e-9;
-  const std::size_t k = isolevels.size();
-  std::vector<int> sorted_levels;
-  sorted_levels.reserve(k);
-  for (std::size_t li = 0; li < k; ++li)
-    if (!std::isnan(isolevels[li]))
-      sorted_levels.push_back(static_cast<int>(li));
-  std::sort(sorted_levels.begin(), sorted_levels.end(), [&](int a, int b) {
-    return isolevels[static_cast<std::size_t>(a)] <
-           isolevels[static_cast<std::size_t>(b)];
-  });
-  std::vector<std::vector<IsolineReport>> level_reports(k);
-  for (const auto& report : reports) {
-    if (std::isnan(report.isolevel)) continue;
-    const auto begin = std::lower_bound(
-        sorted_levels.begin(), sorted_levels.end(),
-        report.isolevel - kLevelTol, [&](int li, double v) {
-          return isolevels[static_cast<std::size_t>(li)] < v;
-        });
-    for (auto it = begin; it != sorted_levels.end(); ++it) {
-      const double level = isolevels[static_cast<std::size_t>(*it)];
-      if (!(level - report.isolevel < kLevelTol)) break;
-      if (std::abs(report.isolevel - level) < kLevelTol)
-        level_reports[static_cast<std::size_t>(*it)].push_back(report);
-    }
-  }
-
+  std::vector<std::vector<IsolineReport>> groups;
+  group_by_level(reports, isolevels, groups);
   // Each level's Voronoi/regulation construction is independent; build
   // them across the pool (each slot written by exactly one task, so the
   // result is identical to the serial loop).
-  std::vector<std::optional<LevelRegion>> slots(k);
-  exec::parallel_for(k, [&](std::size_t li) {
-    slots[li].emplace(isolevels[li], std::move(level_reports[li]), bounds_,
-                      mode_);
+  std::vector<std::shared_ptr<const LevelRegion>> regions(isolevels.size());
+  exec::parallel_for(isolevels.size(), [&](std::size_t li) {
+    regions[li] = std::make_shared<const LevelRegion>(
+        isolevels[li], std::move(groups[li]), bounds_, mode_);
   });
-  std::vector<LevelRegion> regions;
-  regions.reserve(k);
-  for (auto& slot : slots) regions.push_back(std::move(*slot));
   return ContourMap(bounds_, std::move(regions));
 }
 

@@ -92,11 +92,9 @@ class LevelRegion {
 /// predecessors.
 class ContourMap {
  public:
-  ContourMap(FieldBounds bounds, std::vector<LevelRegion> regions);
-
-  /// Shared-region construction: levels reused from a cache (the
-  /// continuous engine's clean isolevels) are referenced, not copied. A
-  /// LevelRegion is immutable after construction, so sharing is safe.
+  /// Levels reused from a cache (the continuous engine's clean
+  /// isolevels) are referenced, not copied. A LevelRegion is immutable
+  /// after construction, so sharing is safe.
   ContourMap(FieldBounds bounds,
              std::vector<std::shared_ptr<const LevelRegion>> regions);
 
@@ -140,18 +138,32 @@ class ContourMap {
   std::vector<std::shared_ptr<const LevelRegion>> regions_;
 };
 
+/// Index of the entry of `isolevels` (ascending, consecutive entries
+/// isolevels_separated) that `level` matches within kIsolevelTolerance;
+/// -1 when none does, as for a NaN level. The one rule by which the sink
+/// assigns a report to an isolevel.
+int isolevel_index(std::span<const double> isolevels, double level);
+
+/// Refill `groups` with one vector per entry of `isolevels`, holding the
+/// reports that isolevel_index assigns to it, in report order. Reports
+/// that match no level are dropped. The group vectors are cleared, not
+/// freed, so a caller that keeps `groups` reuses their capacity.
+void group_by_level(std::span<const IsolineReport> reports,
+                    std::span<const double> isolevels,
+                    std::vector<std::vector<IsolineReport>>& groups);
+
 /// Builds ContourMaps from sink-side report sets.
 class ContourMapBuilder {
  public:
   explicit ContourMapBuilder(FieldBounds bounds,
                              RegulationMode mode = RegulationMode::kRules);
 
-  /// Group `reports` by isolevel (one LevelRegion per entry of
-  /// `isolevels`, ascending) and construct the stacked map. A report
-  /// joins every level with |report.isolevel - level| < 1e-9, in report
-  /// order; the levels are built across the exec pool. The grouping
-  /// copies each report once per level it joins, beside the caller's
-  /// vector, so sink memory is O(delivered reports) plus the regions.
+  /// Group `reports` with group_by_level (one LevelRegion per entry of
+  /// `isolevels`) and construct the stacked map, building the levels
+  /// across the exec pool. Each group is moved into its region, so sink
+  /// memory is O(delivered reports) plus the regions. Throws
+  /// std::invalid_argument unless every pair of consecutive isolevels is
+  /// isolevels_separated (ascending, no report can match two levels).
   ContourMap build(const std::vector<IsolineReport>& reports,
                    const std::vector<double>& isolevels) const;
 

@@ -5,6 +5,18 @@
 
 namespace isomap {
 
+/// A report belongs to an isolevel when their values differ by less than
+/// this.
+inline constexpr double kIsolevelTolerance = 1e-9;
+
+/// True when `upper` sits more than twice kIsolevelTolerance above
+/// `lower`, so no value lies within the tolerance of both and a report
+/// matches at most one level of a list whose neighbours all pass. False
+/// for NaN.
+inline bool isolevels_separated(double lower, double upper) {
+  return upper - lower > 2.0 * kIsolevelTolerance;
+}
+
 /// A contour-mapping query as disseminated by the sink (Section 3.2): the
 /// data space [lambda_lo, lambda_hi], the granularity T, and the tunable
 /// protocol parameters. Isolevels are lambda_i = lambda_lo + i*T within
@@ -34,14 +46,21 @@ struct ContourQuery {
   /// The isolevels lambda_i = lambda_lo + i*T that fall inside
   /// [lambda_lo, lambda_hi], in ascending order. The first level sits at
   /// lambda_lo + T (a level equal to the space minimum outlines the whole
-  /// field and carries no information).
+  /// field and carries no information). Throws when a step does not
+  /// separate two levels (see isolevels_separated), which a granularity
+  /// below the tolerance or below the levels' ulp would cause.
   std::vector<double> isolevels() const {
     if (granularity <= 0.0)
       throw std::invalid_argument("ContourQuery: granularity must be > 0");
     std::vector<double> levels;
     for (double v = lambda_lo + granularity; v <= lambda_hi + 1e-12;
-         v += granularity)
+         v += granularity) {
+      if (!levels.empty() && !isolevels_separated(levels.back(), v))
+        throw std::invalid_argument(
+            "ContourQuery: granularity does not separate consecutive "
+            "isolevels");
       levels.push_back(v);
+    }
     return levels;
   }
 };

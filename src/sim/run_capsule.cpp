@@ -490,6 +490,11 @@ class Decoder {
     require(q.lambda_lo <= q.lambda_hi, "lambda_lo", "must be <= lambda_hi");
     require((q.lambda_hi - q.lambda_lo) / q.granularity <= kMaxLevels,
             "granularity", "yields more than 65536 isolevels");
+    try {
+      (void)q.isolevels();  // Bounded by the cap above.
+    } catch (const std::invalid_argument& e) {
+      require(false, "granularity", e.what());
+    }
     require(q.angular_separation_deg >= 0.0, "angular_separation_deg",
             "must be >= 0");
     require(q.distance_separation >= 0.0, "distance_separation",

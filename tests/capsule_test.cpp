@@ -526,6 +526,24 @@ INSTANTIATE_TEST_SUITE_P(
         Rejection{"GranularityTiny", small_single_shot,
                   [](RunCapsule& r) { r.options.query.granularity = 1e-10; },
                   "options.query.granularity"},
+        Rejection{"GranularityBelowUlp", small_single_shot,
+                  [](RunCapsule& r) {
+                    // 1e9 + 5e-8 rounds back to 1e9: the levels never
+                    // advance, though the span passes the level cap.
+                    r.options.query.lambda_lo = 1e9;
+                    r.options.query.lambda_hi = 1e9 + 1e-3;
+                    r.options.query.granularity = 5e-8;
+                  },
+                  "options.query.granularity"},
+        Rejection{"LevelsWithinMatchTolerance", small_single_shot,
+                  [](RunCapsule& r) {
+                    // 10,000 levels 1e-10 apart: a report would match
+                    // several of them.
+                    r.options.query.lambda_lo = 0.0;
+                    r.options.query.lambda_hi = 1e-6;
+                    r.options.query.granularity = 1e-10;
+                  },
+                  "options.query.granularity"},
         Rejection{"GranularityNaN", small_single_shot,
                   [](RunCapsule& r) { r.options.query.granularity = kNaN; },
                   "options.query.granularity"},

@@ -64,6 +64,7 @@ struct RoundCapture {
   std::string summary;
   std::string trace;
   std::vector<ContinuousMapper::SinkDumpEntry> sink;
+  std::vector<std::uint64_t> fingerprints;
   std::optional<ContourMap> map;
 };
 
@@ -123,6 +124,10 @@ void expect_rounds_equal(const std::vector<RoundCapture>& a,
           << where;
       EXPECT_EQ(sa.report.source, sb.report.source) << where;
     }
+    // The service keys cached responses on these, so they must not
+    // depend on the engine.
+    EXPECT_FALSE(a[r].fingerprints.empty()) << where;
+    EXPECT_EQ(a[r].fingerprints, b[r].fingerprints) << where;
     expect_maps_equal(*a[r].map, *b[r].map, where);
   }
 }
@@ -159,6 +164,7 @@ RoundCapture observed_round(ContinuousMapper& mapper,
   capture.summary = normalized(std::move(summary));
   capture.trace = stable_trace(trace_text.str());
   capture.sink = mapper.sink_dump();
+  capture.fingerprints = mapper.level_fingerprints();
   capture.map = std::move(result.map);
   return capture;
 }

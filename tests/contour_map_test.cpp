@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "isomap/contour_map.hpp"
 #include "util/rng.hpp"
@@ -179,6 +181,24 @@ TEST(ContourMap, BuilderGroupsReportsByLevel) {
       ContourMapBuilder(kBounds).build(reports, {5.0, 6.0});
   EXPECT_EQ(map.region(0).reports().size(), 2u);
   EXPECT_EQ(map.region(1).reports().size(), 1u);
+
+  // A NaN-level report matches no level; one 5e-10 off a level joins it.
+  reports.push_back({std::numeric_limits<double>::quiet_NaN(),
+                     {25, 25}, {1, 0}, 3});
+  reports.push_back({6.0 + 5e-10, {35, 35}, {0, 1}, 4});
+  const ContourMap tolerant =
+      ContourMapBuilder(kBounds).build(reports, {5.0, 6.0});
+  EXPECT_EQ(tolerant.region(0).reports().size(), 2u);
+  ASSERT_EQ(tolerant.region(1).reports().size(), 2u);
+  EXPECT_EQ(tolerant.region(1).reports()[1].source, 4);
+
+  // Descending levels, or levels close enough for one report to match
+  // both, break the builder's precondition.
+  EXPECT_THROW((void)ContourMapBuilder(kBounds).build(reports, {6.0, 5.0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)ContourMapBuilder(kBounds).build(reports, {5.0, 5.0 + 1e-10}),
+      std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, RegulationModes,
